@@ -2,11 +2,9 @@
 # Forbids panic!(...) and .unwrap( on the hot simulation / metrics paths.
 #
 # These files expose fallible `try_*` APIs (netlist::SimError,
-# ml::MetricsError); their non-test code must route every failure
-# through those types so the differential fuzzer can distinguish
-# "engines disagree" from "input rejected". The legacy panicking
-# wrappers delegate to SimError::raise() (which lives in error.rs,
-# outside this lint's scope) so the panic message stays Display-formatted.
+# ml::MetricsError) with no panicking twins; their non-test code must
+# route every failure through those types so the differential fuzzer can
+# distinguish "engines disagree" from "input rejected".
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -17,8 +15,10 @@ cd "$(dirname "$0")/.."
 
 FILES=(
   crates/netlist/src/sim.rs
-  crates/netlist/src/batch.rs
   crates/netlist/src/compile.rs
+  crates/netlist/src/faults.rs
+  crates/netlist/src/verify.rs
+  crates/netlist/src/error.rs
   crates/ml/src/metrics.rs
 )
 

@@ -181,18 +181,19 @@ fn main() {
             })
             .collect();
         bench(&filter, "verify_batch_simulate_128_vectors", || {
-            let mut sim = netlist::BatchSimulator::new(&module);
+            let compiled = netlist::CompiledNetlist::try_compile(&module).expect("combinational");
+            let mut sim: netlist::WideSim<1> = netlist::WideSim::new(std::sync::Arc::new(compiled));
             for chunk in vectors.chunks(64) {
                 for (pi, port) in module.inputs.iter().enumerate() {
                     let lanes: Vec<u64> = chunk.iter().map(|v| v[pi]).collect();
-                    sim.set_lanes(&port.name, &lanes);
+                    sim.try_set_lanes(&port.name, &lanes).expect("input port");
                 }
                 sim.settle();
-                black_box(sim.lanes("class", chunk.len()));
+                black_box(sim.try_lanes("class", chunk.len()).expect("class port"));
             }
         });
         bench(&filter, "verify_fault_coverage", || {
-            black_box(netlist::fault_coverage(&module, &vectors[..32]));
+            black_box(netlist::try_fault_coverage(&module, &vectors[..32]).expect("combinational"));
         });
         let optimized = optimize(&module);
         bench(&filter, "verify_equivalence_sampled", || {
@@ -212,14 +213,15 @@ fn main() {
         let data = Application::Pendigits.generate(7);
         let used = qt.used_features();
         bench(&filter, "pipeline_simulate_100_inferences", || {
-            let mut sim = Simulator::new(&module);
+            let mut sim = Simulator::try_new(&module).expect("valid module");
             for row in data.x.iter().take(100) {
                 let codes = fq.code_row(row);
                 for (slot, &f) in used.iter().enumerate() {
-                    sim.set(&format!("f{slot}"), codes[f]);
+                    sim.try_set(&format!("f{slot}"), codes[f])
+                        .expect("input port");
                 }
                 sim.settle();
-                black_box(sim.get("class"));
+                black_box(sim.try_get("class").expect("class port"));
             }
         });
     }

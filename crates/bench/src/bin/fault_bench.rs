@@ -71,7 +71,8 @@ fn main() {
         let flow = TreeFlow::new(app, 4, SEED);
         let module = flow.module(TreeArch::BespokeParallel).expect("digital");
         let vectors = tree_test_vectors(&flow, 150);
-        let (cov, secs) = exec::time(|| netlist::fault_coverage(&module, &vectors));
+        let (cov, secs) = exec::time(|| netlist::try_fault_coverage(&module, &vectors));
+        let cov = cov.expect("combinational tree");
         println!(
             "{}: {} faults x {} vectors in {:.3}s ({:.0} faults/sec), coverage {:.3}",
             app.name(),

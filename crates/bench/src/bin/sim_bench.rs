@@ -1,13 +1,13 @@
-//! Throughput benchmark of the simulation engines: the interpreted
-//! 64-lane reference (`netlist::batch::reference`), the compiled tape at
-//! 64 lanes (`WideSim<1>`) and the compiled tape at 256 lanes
-//! (`WideSim<4>`), over two sign-off-grade workloads — the conventional
-//! 16-bit SVM datapath (~438 k gates, the largest module the harness
-//! ever simulates) and a bespoke depth-4 tree.
+//! Throughput benchmark of the compiled simulation tape at 64 lanes
+//! (`WideSim<1>`) and at 256 lanes (`WideSim<4>`), over two sign-off-grade
+//! workloads — the conventional 16-bit SVM datapath (~438 k gates, the
+//! largest module the harness ever simulates) and a bespoke depth-4 tree.
 //!
-//! Every engine replays the same deterministic vector stream and the
+//! Both widths replay the same deterministic vector stream and the
 //! per-vector outputs are checksummed in vector order, so the run
-//! *asserts* bit-identity across engines before it reports speedups.
+//! *asserts* bit-identity between them — and against the scalar
+//! `netlist::Simulator` reference on the first 64 vectors — before it
+//! reports throughput.
 //! Prints per-engine vectors/sec and writes a `bench/out/BENCH_sim.json`
 //! report (path overridable with `--json`):
 //!
@@ -22,9 +22,8 @@
 
 use std::sync::Arc;
 
-use netlist::batch::reference::InterpretedSimulator;
 use netlist::compile::record_settles;
-use netlist::{BatchSimulator, CompiledNetlist, Module, WideSim};
+use netlist::{CompiledNetlist, Module, Simulator, WideSim};
 use printed_core::conventional::svm::{generate_combinational as gen_svm_comb, SvmSpec};
 use printed_core::flow::TreeFlow;
 use serde::Serialize;
@@ -34,7 +33,7 @@ use bench::workloads::SEED;
 /// One engine's replay of a workload's vector stream.
 #[derive(Serialize)]
 struct EngineResult {
-    /// `interpreted-64`, `compiled-64` or `compiled-256`.
+    /// `compiled-64` or `compiled-256`.
     engine: &'static str,
     /// Vectors evaluated per settle pass.
     lanes: usize,
@@ -42,7 +41,7 @@ struct EngineResult {
     seconds: f64,
     vectors_per_sec: f64,
     /// Order-sensitive FNV fold of every output value in vector order —
-    /// identical across engines by construction (asserted before the
+    /// identical across lane widths by construction (asserted before the
     /// report is written).
     checksum: u64,
 }
@@ -52,12 +51,10 @@ struct EngineResult {
 struct WorkloadResult {
     name: String,
     gates: usize,
-    /// One-off tape build (`CompiledNetlist::compile`), paid once and
-    /// shared by both compiled engines.
+    /// One-off tape build (`CompiledNetlist::try_compile`), paid once and
+    /// shared by both lane widths.
     compile_seconds: f64,
     engines: Vec<EngineResult>,
-    /// `compiled-256` vectors/sec over `interpreted-64` vectors/sec.
-    speedup_vs_interpreter: f64,
 }
 
 /// The `BENCH_sim.json` report.
@@ -68,9 +65,6 @@ struct Report {
     /// Headline number: compiled 256-lane throughput on the conventional
     /// SVM-16 netlist (gated by `perf_gate --sim`).
     svm16_vectors_per_sec: f64,
-    /// Headline speedup: compiled 256-lane over the interpreter on the
-    /// same SVM-16 vector stream.
-    svm16_speedup: f64,
     /// Unified observability report (`obs-report-v1`).
     report: obs::Report,
 }
@@ -143,75 +137,54 @@ fn finish(
 // Transposition and output extraction run outside the timer; outputs
 // are still collected per vector for the cross-engine identity check.
 
-fn run_interpreted(module: &Module, vectors: &[Vec<u64>]) -> EngineResult {
-    let mut sim = InterpretedSimulator::new(module);
-    let images: Vec<(Vec<u64>, usize)> = vectors
-        .chunks(64)
-        .map(|c| (sim.pack_vectors(c), c.len()))
-        .collect();
-    let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(vectors.len()); module.outputs.len()];
-    let mut seconds = 0f64;
-    for (image, n) in &images {
-        let t = std::time::Instant::now();
-        sim.load_packed(image);
-        sim.settle();
-        seconds += t.elapsed().as_secs_f64();
-        for (col, p) in cols.iter_mut().zip(&module.outputs) {
-            col.extend(sim.lanes(&p.name, *n));
-        }
-    }
-    finish("interpreted-64", 64, vectors.len(), seconds, &cols)
-}
-
-fn run_compiled_64(
+/// Replays `vectors` through a `WideSim<W>` over the shared tape,
+/// returning the engine's result and its per-output columns.
+fn run_compiled<const W: usize>(
+    engine: &'static str,
     module: &Module,
     compiled: &Arc<CompiledNetlist>,
     vectors: &[Vec<u64>],
-) -> EngineResult {
-    let mut sim = BatchSimulator::from_compiled(Arc::clone(compiled));
-    let images: Vec<(Vec<u64>, usize)> = vectors
-        .chunks(64)
-        .map(|c| (sim.pack_vectors(c), c.len()))
+) -> (EngineResult, Vec<Vec<u64>>) {
+    let lanes = WideSim::<W>::LANES;
+    let mut sim: WideSim<W> = WideSim::new(Arc::clone(compiled));
+    let images: Vec<(Vec<[u64; W]>, usize)> = vectors
+        .chunks(lanes)
+        .map(|c| (sim.try_pack_vectors(c).expect("vector arity"), c.len()))
         .collect();
     let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(vectors.len()); module.outputs.len()];
     let mut seconds = 0f64;
     for (image, n) in &images {
         let t = std::time::Instant::now();
-        sim.load_packed(image);
+        sim.try_load_packed(image).expect("image from this tape");
         sim.settle();
         seconds += t.elapsed().as_secs_f64();
         for (col, p) in cols.iter_mut().zip(&module.outputs) {
-            col.extend(sim.lanes(&p.name, *n));
+            col.extend(sim.try_lanes(&p.name, *n).expect("output port"));
         }
     }
     record_settles(images.len() as u64, vectors.len() as u64);
-    finish("compiled-64", 64, vectors.len(), seconds, &cols)
+    let result = finish(engine, lanes, vectors.len(), seconds, &cols);
+    (result, cols)
 }
 
-fn run_compiled_256(
-    module: &Module,
-    compiled: &Arc<CompiledNetlist>,
-    vectors: &[Vec<u64>],
-) -> EngineResult {
-    const LANES: usize = WideSim::<4>::LANES;
-    let mut sim: WideSim<4> = WideSim::new(Arc::clone(compiled));
-    let images: Vec<(Vec<[u64; 4]>, usize)> = vectors
-        .chunks(LANES)
-        .map(|c| (sim.pack_vectors(c), c.len()))
-        .collect();
-    let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(vectors.len()); module.outputs.len()];
-    let mut seconds = 0f64;
-    for (image, n) in &images {
-        let t = std::time::Instant::now();
-        sim.load_packed(image);
-        sim.settle();
-        seconds += t.elapsed().as_secs_f64();
-        for (col, p) in cols.iter_mut().zip(&module.outputs) {
-            col.extend(sim.lanes(&p.name, *n));
+/// Asserts the first 64 vectors' outputs in `cols` against the scalar
+/// reference simulator.
+fn assert_scalar_agrees(name: &str, module: &Module, vectors: &[Vec<u64>], cols: &[Vec<u64>]) {
+    let mut scalar = Simulator::try_new(module).expect("valid module");
+    for (lane, v) in vectors.iter().take(64).enumerate() {
+        for (port, &value) in module.inputs.iter().zip(v) {
+            scalar.try_set(&port.name, value).expect("input port");
+        }
+        scalar.settle();
+        for (col, p) in cols.iter().zip(&module.outputs) {
+            let want = scalar.try_get(&p.name).expect("output port");
+            assert_eq!(
+                col[lane], want,
+                "{name}: output {} of vector {lane} diverges from the scalar simulator",
+                p.name
+            );
         }
     }
-    record_settles(images.len() as u64, vectors.len() as u64);
-    finish("compiled-256", LANES, vectors.len(), seconds, &cols)
 }
 
 fn run_workload(name: &str, module: &Module, vector_count: usize) -> WorkloadResult {
@@ -221,35 +194,25 @@ fn run_workload(name: &str, module: &Module, vector_count: usize) -> WorkloadRes
         module.gates.len(),
         vectors.len()
     );
-    let (compiled, compile_seconds) = exec::time(|| Arc::new(CompiledNetlist::compile(module)));
+    let (compiled, compile_seconds) = exec::time(|| {
+        Arc::new(CompiledNetlist::try_compile(module).expect("combinational workload"))
+    });
     println!(
         "  tape compiled in {compile_seconds:.3}s ({} instructions)",
         compiled.tape_len()
     );
-    let engines = vec![
-        run_interpreted(module, &vectors),
-        run_compiled_64(module, &compiled, &vectors),
-        run_compiled_256(module, &compiled, &vectors),
-    ];
-    for e in &engines[1..] {
-        assert_eq!(
-            e.checksum, engines[0].checksum,
-            "{name}: {} outputs diverge from the interpreter",
-            e.engine
-        );
-    }
-    let speedup = if engines[0].vectors_per_sec > 0.0 {
-        engines[2].vectors_per_sec / engines[0].vectors_per_sec
-    } else {
-        0.0
-    };
-    println!("  speedup (compiled-256 vs interpreted-64): {speedup:.2}x");
+    let (narrow, cols) = run_compiled::<1>("compiled-64", module, &compiled, &vectors);
+    let (wide, _) = run_compiled::<4>("compiled-256", module, &compiled, &vectors);
+    assert_eq!(
+        wide.checksum, narrow.checksum,
+        "{name}: compiled-256 outputs diverge from compiled-64"
+    );
+    assert_scalar_agrees(name, module, &vectors, &cols);
     WorkloadResult {
         name: name.to_string(),
         gates: module.gates.len(),
         compile_seconds,
-        engines,
-        speedup_vs_interpreter: speedup,
+        engines: vec![narrow, wide],
     }
 }
 
@@ -295,8 +258,8 @@ fn main() {
     }
     // The conventional SVM-16 datapath (multiplier array + adder tree +
     // class mapper, ~438 k gates) — the largest module the harness ever
-    // simulates. The register-free variant is used because the batch
-    // kernels are combinational-only; the core is identical.
+    // simulates. The register-free variant is used because the compiled
+    // tape is combinational-only; the core is identical.
     let svm16 = gen_svm_comb(&SvmSpec::conventional(16));
     workloads.push(run_workload("conv-svm16", &svm16, vector_count));
 
@@ -305,18 +268,16 @@ fn main() {
     eprint!("{}", obs_report.text_summary());
 
     let svm16_result = workloads.last().expect("svm16 ran");
-    let svm16_vectors_per_sec = svm16_result.engines[2].vectors_per_sec;
-    let svm16_speedup = svm16_result.speedup_vs_interpreter;
+    let svm16_vectors_per_sec = svm16_result.engines[1].vectors_per_sec;
     let report = Report {
         smoke,
         svm16_vectors_per_sec,
-        svm16_speedup,
         workloads,
         report: obs_report,
     };
     println!(
-        "headline: svm-16 at {:.0} vectors/sec on the compiled 256-lane kernel ({:.2}x the interpreter)",
-        report.svm16_vectors_per_sec, report.svm16_speedup
+        "headline: svm-16 at {:.0} vectors/sec on the compiled 256-lane kernel",
+        report.svm16_vectors_per_sec
     );
     let body = serde_json::to_string_pretty(&report).expect("serialize report");
     if let Some(dir) = std::path::Path::new(&json_path).parent() {

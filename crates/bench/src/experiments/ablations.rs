@@ -467,7 +467,7 @@ pub fn fault_coverage_analysis() -> Table {
         let flow = TreeFlow::new(app, 4, SEED);
         let module = flow.module(TreeArch::BespokeParallel).expect("digital");
         let vectors = crate::workloads::tree_test_vectors(&flow, row_cap(150));
-        let cov = netlist::fault_coverage(&module, &vectors);
+        let cov = netlist::try_fault_coverage(&module, &vectors).expect("combinational tree");
         t.row(vec![
             app.name().into(),
             vectors.len().to_string(),

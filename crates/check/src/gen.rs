@@ -9,7 +9,7 @@
 //! Netlists are *acyclic by construction*: gates only ever read signals
 //! that already exist (input bits, constants, earlier gate outputs, ROM
 //! data bits), so every generated module is a valid combinational
-//! circuit the five engines must agree on. Cyclic and sequential
+//! circuit both simulation engines must agree on. Cyclic and sequential
 //! rejection paths are exercised separately ([`random_sequential_module`]
 //! and the hand-mutated corpus fixtures).
 

@@ -3,8 +3,8 @@
 //! # check — deterministic differential fuzzing
 //!
 //! This repository deliberately keeps *redundant implementations* of
-//! its hot paths: a scalar simulator next to three lane-parallel
-//! engines, a scalar analog-variation analyzer next to compiled tapes,
+//! its hot paths: a scalar simulator next to the compiled lane-parallel
+//! tape, a scalar analog-variation analyzer next to compiled tapes,
 //! an optimizer whose output is miter-verified against its input, a
 //! hand-rolled serde shim, and a content-addressed artifact cache.
 //! Redundancy is only a safety net if something *diffs* the redundant

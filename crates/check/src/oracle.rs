@@ -3,11 +3,11 @@
 //! Each oracle cross-checks a pair (or more) of independently
 //! implemented paths that must agree bit-for-bit:
 //!
-//! 1. **Engines** — scalar [`netlist::Simulator`], the interpreted
-//!    64-lane reference, the compiled [`netlist::BatchSimulator`] and the
-//!    256-lane [`netlist::WideSim`]`<4>`, with and without an injected
-//!    stuck-at fault; plus agreement on *rejecting* sequential and
-//!    cyclic inputs with the same [`netlist::SimError`] kind.
+//! 1. **Engines** — the scalar [`netlist::Simulator`] reference against
+//!    the compiled tape at 64 lanes ([`netlist::WideSim`]`<1>`, with and
+//!    without an injected stuck-at fault) and at 256 lanes
+//!    ([`netlist::WideSim`]`<4>`); plus agreement on *rejecting* cyclic
+//!    and invalid inputs with the same [`netlist::SimError`] kind.
 //! 2. **Variation** — the scalar `analog::variation::reference`
 //!    analyzers against the compiled lane-batched tapes.
 //! 3. **Optimizer** — `netlist::optimize` output proven equivalent to
@@ -29,10 +29,9 @@ use exec::rng::StdRng;
 use ml::quant::{FeatureQuantizer, QuantizedSvm, QuantizedTree};
 use ml::tree::{DecisionTree, TreeParams};
 use ml::SvmRegressor;
-use netlist::batch::reference::InterpretedSimulator;
 use netlist::{
-    check_equivalence, optimize, BatchSimulator, CompiledNetlist, Equivalence, Fault, Module,
-    SimError, Simulator, WideSim,
+    check_equivalence, optimize, CompiledNetlist, Equivalence, Fault, Module, SimError, Simulator,
+    WideSim,
 };
 
 use crate::gen;
@@ -40,7 +39,8 @@ use crate::gen;
 /// Identifies one of the five oracle pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OracleKind {
-    /// Digital simulation engines (scalar / interpreted / compiled / wide).
+    /// Digital simulation engines (scalar vs the compiled tape at 64 and
+    /// 256 lanes).
     Engines,
     /// Analog variation: scalar reference vs compiled tapes.
     Variation,
@@ -79,9 +79,8 @@ impl OracleKind {
     }
 }
 
-/// Vectors per engine-oracle case: one interpreted-engine pass (≤ 64
-/// lanes) and a quarter of a wide pass, while still crossing every
-/// port-width boundary.
+/// Vectors per engine-oracle case: one 64-lane pass and a quarter of a
+/// 256-lane pass, while still crossing every port-width boundary.
 const ENGINE_VECTORS: usize = 48;
 
 fn hasher(domain: &str) -> cache::StableHasher {
@@ -101,167 +100,155 @@ fn error_kind(e: &SimError) -> &'static str {
         SimError::CombinationalCycle { .. } => "cycle",
         SimError::Sequential { .. } => "sequential",
         SimError::UnknownPort { .. } => "unknown-port",
+        SimError::PortTooWide { .. } => "port-too-wide",
         SimError::TooManyLanes { .. } => "too-many-lanes",
         SimError::VectorArity { .. } => "vector-arity",
         SimError::ImageLength { .. } => "image-length",
     }
 }
 
-/// Runs every simulation engine over `module` and demands bit-identical
-/// outputs — or, for inadmissible modules (sequential, cyclic), the
-/// same rejection kind from every fallible constructor.
+/// Runs both simulation engines over `module` — the scalar reference, a
+/// fresh [`WideSim`]`<1>` and a [`WideSim`]`<4>` over one compiled tape —
+/// and demands bit-identical outputs, or, for inadmissible modules, the
+/// same rejection kind.
 ///
-/// `vec_seed` drives the input vectors and the fault-site choice.
+/// `vec_seed` drives the input vectors and the fault-site choice. The
+/// fingerprint hashes only the scalar outputs (or the rejection kind), so
+/// it does not depend on which lane-parallel engines are checked.
 pub fn engines_agree(module: &Module, vec_seed: u64) -> Result<u64, String> {
-    let interp = InterpretedSimulator::try_new(module);
-    let compiled = CompiledNetlist::try_compile(module);
-    let batch = BatchSimulator::try_new(module);
-    match (interp, compiled, batch) {
-        (Err(e1), Err(e2), Err(e3)) => {
-            let kinds = [error_kind(&e1), error_kind(&e2), error_kind(&e3)];
-            if kinds[0] == kinds[1] && kinds[1] == kinds[2] {
-                let mut h = hasher("check.engines.reject");
-                h.write_str(kinds[0]);
-                Ok(key_word(h.finish()))
-            } else {
-                Err(format!(
-                    "engines disagree on why the input is rejected: \
-                     interpreted={e1}, compiled={e2}, batch={e3}"
-                ))
+    let scalar = Simulator::try_new(module);
+    let compiled = match CompiledNetlist::try_compile(module) {
+        Ok(c) => Arc::new(c),
+        Err(e) => {
+            // The scalar engine simulates clocked designs by design, so
+            // only the other rejection kinds must agree.
+            let kind = error_kind(&e);
+            if kind != "sequential" {
+                match &scalar {
+                    Ok(_) => return Err(format!("only the compiled engine rejected: {e}")),
+                    Err(s) if error_kind(s) != kind => {
+                        return Err(format!(
+                            "engines disagree on why the input is rejected: \
+                             scalar={s}, compiled={e}"
+                        ))
+                    }
+                    Err(_) => {}
+                }
             }
+            let mut h = hasher("check.engines.reject");
+            h.write_str(kind);
+            return Ok(key_word(h.finish()));
         }
-        (i, c, b) => {
-            let mut interp = match i {
-                Ok(s) => s,
-                Err(e) => return Err(format!("only the interpreted engine rejected: {e}")),
-            };
-            let compiled = match c {
-                Ok(s) => Arc::new(s),
-                Err(e) => return Err(format!("only the compiled engine rejected: {e}")),
-            };
-            let mut batch = match b {
-                Ok(s) => s,
-                Err(e) => return Err(format!("only the batch engine rejected: {e}")),
-            };
-            let vectors = gen::random_vectors(vec_seed, module, ENGINE_VECTORS);
-            let lanes = vectors.len();
-            let out_names: Vec<&str> = module.outputs.iter().map(|p| p.name.as_str()).collect();
+    };
+    let mut scalar = scalar.map_err(|e| format!("only the scalar engine rejected: {e}"))?;
+    let vectors = gen::random_vectors(vec_seed, module, ENGINE_VECTORS);
+    let lanes = vectors.len();
+    let want = scalar_columns(&mut scalar, module, &vectors)
+        .map_err(|e| format!("scalar engine failed: {e}"))?;
 
-            // Scalar oracle: one settle per vector.
-            let mut scalar = Simulator::try_new(module)
-                .map_err(|e| format!("scalar engine rejected a valid module: {e}"))?;
-            let mut expected: Vec<Vec<u64>> = vec![Vec::with_capacity(lanes); out_names.len()];
-            for v in &vectors {
-                for (port, &value) in module.inputs.iter().zip(v) {
-                    scalar
-                        .try_set(&port.name, value)
-                        .map_err(|e| format!("scalar set failed: {e}"))?;
-                }
-                scalar.settle();
-                for (o, name) in out_names.iter().enumerate() {
-                    expected[o].push(
-                        scalar
-                            .try_get(name)
-                            .map_err(|e| format!("scalar get failed: {e}"))?,
-                    );
-                }
-            }
-
-            // Lane-parallel engines: one settle for the whole block.
-            for (p, port) in module.inputs.iter().enumerate() {
-                let column: Vec<u64> = vectors.iter().map(|v| v[p]).collect();
-                interp
-                    .try_set_lanes(&port.name, &column)
-                    .map_err(|e| format!("interpreted set_lanes failed: {e}"))?;
-                batch
-                    .try_set_lanes(&port.name, &column)
-                    .map_err(|e| format!("batch set_lanes failed: {e}"))?;
-            }
-            interp.settle();
-            batch.settle();
-            let mut wide: WideSim<4> = WideSim::new(Arc::clone(&compiled));
-            let image = wide
-                .try_pack_vectors(&vectors)
-                .map_err(|e| format!("wide pack_vectors failed: {e}"))?;
-            wide.try_load_packed(&image)
-                .map_err(|e| format!("wide load_packed failed: {e}"))?;
-            wide.settle();
-
-            let mut h = hasher("check.engines");
-            for (o, name) in out_names.iter().enumerate() {
-                let i_out = interp
-                    .try_lanes(name, lanes)
-                    .map_err(|e| format!("interpreted lanes failed: {e}"))?;
-                let b_out = batch
-                    .try_lanes(name, lanes)
-                    .map_err(|e| format!("batch lanes failed: {e}"))?;
-                let w_out = wide
-                    .try_lanes(name, lanes)
-                    .map_err(|e| format!("wide lanes failed: {e}"))?;
-                for lane in 0..lanes {
-                    let want = expected[o][lane];
-                    for (engine, got) in [
-                        ("interpreted", i_out[lane]),
-                        ("batch", b_out[lane]),
-                        ("wide", w_out[lane]),
-                    ] {
-                        if got != want {
-                            return Err(format!(
-                                "{engine} engine disagrees with the scalar simulator on \
-                                 output {name} for vector {lane}: got {got:#x}, want {want:#x} \
-                                 (inputs {:?})",
-                                vectors[lane]
-                            ));
-                        }
-                    }
-                    h.write_u64(want);
-                }
-            }
-
-            // Fault pass: in-place lane-word pinning vs reference clone
-            // injection.
-            if !module.gates.is_empty() {
-                let mut rng = StdRng::seed_from_u64(exec::seed::mix64(vec_seed ^ 0xFA17));
-                let gate = rng.gen_range(0..module.gates.len());
-                let fault = Fault {
-                    net: module.gates[gate].output,
-                    stuck_at: rng.gen_bool(0.5),
-                };
-                let faulty = netlist::faults::inject(module, fault);
-                let mut ref_sim = Simulator::try_new(&faulty)
-                    .map_err(|e| format!("reference fault injection broke the module: {e}"))?;
-                batch.inject_fault(fault.net, fault.stuck_at);
-                batch.settle();
-                for name in out_names.iter() {
-                    let b_out = batch
-                        .try_lanes(name, lanes)
-                        .map_err(|e| format!("faulty batch lanes failed: {e}"))?;
-                    for (lane, v) in vectors.iter().enumerate() {
-                        for (port, &value) in faulty.inputs.iter().zip(v) {
-                            ref_sim
-                                .try_set(&port.name, value)
-                                .map_err(|e| format!("faulty scalar set failed: {e}"))?;
-                        }
-                        ref_sim.settle();
-                        let want = ref_sim
-                            .try_get(name)
-                            .map_err(|e| format!("faulty scalar get failed: {e}"))?;
-                        if b_out[lane] != want {
-                            return Err(format!(
-                                "fault pinning diverges from reference injection on net \
-                                 {:?} stuck at {}: output {name} vector {lane} got {:#x}, \
-                                 want {want:#x}",
-                                fault.net, fault.stuck_at, b_out[lane]
-                            ));
-                        }
-                        h.write_u64(want);
-                    }
-                }
-                batch.clear_fault();
-            }
-            Ok(key_word(h.finish()))
+    // Lane-parallel engines, one settle each: 64 lanes bound port by
+    // port, 256 lanes through a packed image.
+    let mut narrow: WideSim<1> = WideSim::new(Arc::clone(&compiled));
+    for (p, port) in module.inputs.iter().enumerate() {
+        let column: Vec<u64> = vectors.iter().map(|v| v[p]).collect();
+        narrow
+            .try_set_lanes(&port.name, &column)
+            .map_err(|e| format!("64-lane set_lanes failed: {e}"))?;
+    }
+    narrow.settle();
+    let mut wide: WideSim<4> = WideSim::new(compiled);
+    let image = wide
+        .try_pack_vectors(&vectors)
+        .map_err(|e| format!("256-lane pack_vectors failed: {e}"))?;
+    wide.try_load_packed(&image)
+        .map_err(|e| format!("256-lane load_packed failed: {e}"))?;
+    wide.settle();
+    for (engine, got) in [
+        ("64-lane", lane_columns(&narrow, module, lanes)),
+        ("256-lane", lane_columns(&wide, module, lanes)),
+    ] {
+        let got = got.map_err(|e| format!("{engine} lanes failed: {e}"))?;
+        if let Some((o, lane)) = first_difference(&got, &want) {
+            return Err(format!(
+                "{engine} engine disagrees with the scalar simulator on output {} \
+                 for vector {lane}: got {:#x}, want {:#x} (inputs {:?})",
+                module.outputs[o].name, got[o][lane], want[o][lane], vectors[lane]
+            ));
         }
     }
+    let mut h = hasher("check.engines");
+    want.iter().flatten().for_each(|&v| h.write_u64(v));
+
+    // Fault pass: in-place lane-word pinning vs reference clone
+    // injection on the scalar engine.
+    if !module.gates.is_empty() {
+        let mut rng = StdRng::seed_from_u64(exec::seed::mix64(vec_seed ^ 0xFA17));
+        let gate = rng.gen_range(0..module.gates.len());
+        let fault = Fault {
+            net: module.gates[gate].output,
+            stuck_at: rng.gen_bool(0.5),
+        };
+        let faulty = netlist::faults::inject(module, fault);
+        let want = Simulator::try_new(&faulty)
+            .and_then(|mut sim| scalar_columns(&mut sim, &faulty, &vectors))
+            .map_err(|e| format!("reference fault injection broke the module: {e}"))?;
+        narrow.inject_fault(fault.net, fault.stuck_at);
+        narrow.settle();
+        let got = lane_columns(&narrow, module, lanes)
+            .map_err(|e| format!("faulty 64-lane lanes failed: {e}"))?;
+        if let Some((o, lane)) = first_difference(&got, &want) {
+            return Err(format!(
+                "fault pinning diverges from reference injection on net {:?} stuck at \
+                 {}: output {} vector {lane} got {:#x}, want {:#x}",
+                fault.net, fault.stuck_at, module.outputs[o].name, got[o][lane], want[o][lane]
+            ));
+        }
+        want.iter().flatten().for_each(|&v| h.write_u64(v));
+    }
+    Ok(key_word(h.finish()))
+}
+
+/// Responses of `module` on the scalar engine: one column per output
+/// port, one settle per vector.
+fn scalar_columns(
+    sim: &mut Simulator,
+    module: &Module,
+    vectors: &[Vec<u64>],
+) -> Result<Vec<Vec<u64>>, SimError> {
+    let mut cols = vec![Vec::with_capacity(vectors.len()); module.outputs.len()];
+    for v in vectors {
+        for (port, &value) in module.inputs.iter().zip(v) {
+            sim.try_set(&port.name, value)?;
+        }
+        sim.settle();
+        for (col, port) in cols.iter_mut().zip(&module.outputs) {
+            col.push(sim.try_get(&port.name)?);
+        }
+    }
+    Ok(cols)
+}
+
+/// The first `lanes` lanes of every output port of a settled engine.
+fn lane_columns<const W: usize>(
+    sim: &WideSim<W>,
+    module: &Module,
+    lanes: usize,
+) -> Result<Vec<Vec<u64>>, SimError> {
+    module
+        .outputs
+        .iter()
+        .map(|p| sim.try_lanes(&p.name, lanes))
+        .collect()
+}
+
+/// The first `(output, lane)` at which two column sets differ.
+fn first_difference(got: &[Vec<u64>], want: &[Vec<u64>]) -> Option<(usize, usize)> {
+    got.iter().zip(want).enumerate().find_map(|(o, (g, w))| {
+        g.iter()
+            .zip(w)
+            .position(|(a, b)| a != b)
+            .map(|lane| (o, lane))
+    })
 }
 
 /// Engines oracle over a generated case seed.

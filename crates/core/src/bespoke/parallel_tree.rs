@@ -94,6 +94,7 @@ mod tests {
     use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(
@@ -108,26 +109,33 @@ mod tests {
         (QuantizedTree::from_tree(&tree, &fq), fq, test)
     }
 
-    fn check_equivalence(app: Application, depth: usize, bits: usize, samples: usize) {
+    fn check_equivalence(
+        app: Application,
+        depth: usize,
+        bits: usize,
+        samples: usize,
+    ) -> Result<(), SimError> {
         let (qt, fq, test) = setup(app, depth, bits);
         let module = bespoke_parallel(&qt);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let used = qt.used_features();
         for row in test.x.iter().take(samples) {
             let codes = fq.code_row(row);
             for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
+                sim.try_set(&format!("f{slot}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
-    fn bespoke_parallel_matches_software_tree() {
-        check_equivalence(Application::Cardio, 4, 8, 150);
-        check_equivalence(Application::Pendigits, 6, 8, 100);
-        check_equivalence(Application::Har, 4, 4, 100);
+    fn bespoke_parallel_matches_software_tree() -> Result<(), SimError> {
+        check_equivalence(Application::Cardio, 4, 8, 150)?;
+        check_equivalence(Application::Pendigits, 6, 8, 100)?;
+        check_equivalence(Application::Har, 4, 4, 100)?;
+        Ok(())
     }
 
     #[test]

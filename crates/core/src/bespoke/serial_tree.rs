@@ -59,6 +59,7 @@ mod tests {
     use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(
@@ -74,23 +75,24 @@ mod tests {
     }
 
     #[test]
-    fn bespoke_serial_matches_software_tree() {
+    fn bespoke_serial_matches_software_tree() -> Result<(), SimError> {
         let (qt, fq, test) = setup(Application::RedWine, 4, 8);
         let (spec, module) = bespoke_serial(&qt);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let used = qt.used_features();
         for row in test.x.iter().take(120) {
             let codes = fq.code_row(row);
             sim.reset();
             for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
+                sim.try_set(&format!("f{slot}"), codes[f])?;
             }
             for _ in 0..spec.depth {
                 sim.step();
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
@@ -128,23 +130,24 @@ mod tests {
     }
 
     #[test]
-    fn narrow_width_trees_build_and_verify() {
+    fn narrow_width_trees_build_and_verify() -> Result<(), SimError> {
         let (qt, fq, test) = setup(Application::Har, 2, 4);
         let (spec, module) = bespoke_serial(&qt);
         assert_eq!(spec.width, 4);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let used = qt.used_features();
         for row in test.x.iter().take(60) {
             let codes = fq.code_row(row);
             sim.reset();
             for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
+                sim.try_set(&format!("f{slot}"), codes[f])?;
             }
             for _ in 0..spec.depth {
                 sim.step();
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
         }
+        Ok(())
     }
 }

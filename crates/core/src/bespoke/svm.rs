@@ -132,6 +132,7 @@ mod tests {
     use ml::SvmRegressor;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(app: Application, bits: usize) -> (QuantizedSvm, FeatureQuantizer, ml::Dataset) {
@@ -144,29 +145,31 @@ mod tests {
         (QuantizedSvm::from_svm(&svm, &fq), fq, test)
     }
 
-    fn check_equivalence(app: Application, bits: usize, samples: usize) {
+    fn check_equivalence(app: Application, bits: usize, samples: usize) -> Result<(), SimError> {
         let (qs, fq, test) = setup(app, bits);
         let module = bespoke_svm(&qs);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(samples) {
             let codes = fq.code_row(row);
             for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
+                sim.try_set(&format!("x{f}"), codes[f])?;
             }
             sim.settle();
             assert_eq!(
-                sim.get("class") as usize,
+                sim.try_get("class")? as usize,
                 qs.predict(&codes),
                 "row mismatch"
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn bespoke_svm_matches_software_svm() {
-        check_equivalence(Application::RedWine, 8, 120);
-        check_equivalence(Application::WhiteWine, 8, 80);
-        check_equivalence(Application::Har, 4, 80);
+    fn bespoke_svm_matches_software_svm() -> Result<(), SimError> {
+        check_equivalence(Application::RedWine, 8, 120)?;
+        check_equivalence(Application::WhiteWine, 8, 80)?;
+        check_equivalence(Application::Har, 4, 80)?;
+        Ok(())
     }
 
     #[test]
@@ -203,20 +206,21 @@ mod tests {
     }
 
     #[test]
-    fn thermometer_output_is_monotone() {
+    fn thermometer_output_is_monotone() -> Result<(), SimError> {
         let (qs, fq, test) = setup(Application::WhiteWine, 8);
         let module = bespoke_svm(&qs);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(60) {
             let codes = fq.code_row(row);
             for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
+                sim.try_set(&format!("x{f}"), codes[f])?;
             }
             sim.settle();
-            let t = sim.get("therm");
+            let t = sim.try_get("therm")?;
             // Thermometer: once a zero appears, no ones above it.
             let ones = t.trailing_ones() as u64;
             assert_eq!(t, (1u64 << ones) - 1, "non-thermometer pattern {t:b}");
         }
+        Ok(())
     }
 }

@@ -109,10 +109,11 @@ mod tests {
     use super::*;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     #[test]
-    fn engine_evaluates_a_loaded_tree() {
+    fn engine_evaluates_a_loaded_tree() -> Result<(), SimError> {
         // Depth-2 engine: nodes 1..=3, leaves 0..=3. Load a tree over
         // feature port 0 (root) and ports 1, 2 (children).
         let spec = ParallelTreeSpec {
@@ -122,29 +123,31 @@ mod tests {
             class_bits: 5,
         };
         let m = generate(&spec);
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         // thresholds: root (node 0, feature 0) at 100; node 1 (feature 1)
         // at 50; node 2 (feature 2) at 150.
-        sim.set("thr0", 100);
-        sim.set("thr1", 50);
-        sim.set("thr2", 150);
+        sim.try_set("thr0", 100)?;
+        sim.try_set("thr1", 50)?;
+        sim.try_set("thr2", 150)?;
         for (leaf, class) in [(0u64, 10u64), (1, 11), (2, 12), (3, 13)] {
-            sim.set(&format!("cls{leaf}"), class);
+            sim.try_set(&format!("cls{leaf}"), class)?;
         }
         let mut check = |f0: u64, f1: u64, f2: u64, expect: u64| {
-            sim.set("f0", f0);
-            sim.set("f1", f1);
-            sim.set("f2", f2);
+            sim.try_set("f0", f0)?;
+            sim.try_set("f1", f1)?;
+            sim.try_set("f2", f2)?;
             sim.step(); // load registers
             sim.settle();
-            assert_eq!(sim.get("class"), expect, "f=({f0},{f1},{f2})");
+            assert_eq!(sim.try_get("class")?, expect, "f=({f0},{f1},{f2})");
+            Ok::<(), SimError>(())
         };
         // f0 <= 100 -> left subtree (node 1 on f1): f1 <= 50 -> leaf 0.
-        check(80, 40, 0, 10);
-        check(80, 60, 0, 11);
+        check(80, 40, 0, 10)?;
+        check(80, 60, 0, 11)?;
         // f0 > 100 -> right subtree (node 2 on f2).
-        check(120, 0, 140, 12);
-        check(120, 0, 160, 13);
+        check(120, 0, 140, 12)?;
+        check(120, 0, 160, 13)?;
+        Ok(())
     }
 
     #[test]

@@ -194,6 +194,7 @@ mod tests {
     use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(
@@ -209,37 +210,47 @@ mod tests {
     }
 
     /// Runs one inference on the engine simulator.
-    fn infer(sim: &mut Simulator, qt: &QuantizedTree, codes: &[u64], depth: usize) -> u64 {
+    fn infer(
+        sim: &mut Simulator,
+        qt: &QuantizedTree,
+        codes: &[u64],
+        depth: usize,
+    ) -> Result<u64, SimError> {
         sim.reset();
         let used = qt.used_features();
         for (slot, &f) in used.iter().enumerate() {
-            sim.set(&format!("f{slot}"), codes[f]);
+            sim.try_set(&format!("f{slot}"), codes[f])?;
         }
         // Unused mux slots read zero by default (ports default to 0).
         for _ in 0..depth {
             sim.step();
         }
         sim.settle();
-        assert_eq!(sim.get("done"), 1, "done must assert after depth cycles");
-        sim.get("class")
+        assert_eq!(
+            sim.try_get("done")?,
+            1,
+            "done must assert after depth cycles"
+        );
+        sim.try_get("class")
     }
 
     #[test]
-    fn serial_engine_matches_software_tree() {
+    fn serial_engine_matches_software_tree() -> Result<(), SimError> {
         let (qt, fq, test) = setup(Application::Cardio, 4, 8);
         let spec = SerialTreeSpec::conventional(4);
         let prog = program(&qt, &spec);
         let module = generate(&spec, &prog);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(120) {
             let codes = fq.code_row(row);
-            let hw = infer(&mut sim, &qt, &codes, 4);
+            let hw = infer(&mut sim, &qt, &codes, 4)?;
             assert_eq!(hw as usize, qt.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
-    fn unbalanced_trees_park_on_the_correct_leaf() {
+    fn unbalanced_trees_park_on_the_correct_leaf() -> Result<(), SimError> {
         // HAR trees stop early on pure nodes: exercise the "route left
         // under a leaf" ROM filling.
         let (qt, fq, test) = setup(Application::Har, 4, 8);
@@ -247,11 +258,15 @@ mod tests {
         let spec = SerialTreeSpec::conventional(4);
         let prog = program(&qt, &spec);
         let module = generate(&spec, &prog);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(120) {
             let codes = fq.code_row(row);
-            assert_eq!(infer(&mut sim, &qt, &codes, 4) as usize, qt.predict(&codes));
+            assert_eq!(
+                infer(&mut sim, &qt, &codes, 4)? as usize,
+                qt.predict(&codes)
+            );
         }
+        Ok(())
     }
 
     #[test]

@@ -110,38 +110,40 @@ mod tests {
     use super::*;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     #[test]
-    fn engine_computes_dot_product_and_class() {
+    fn engine_computes_dot_product_and_class() -> Result<(), SimError> {
         let spec = SvmSpec {
             width: 4,
             n_features: 3,
             n_boundaries: 2,
         };
         let m = generate(&spec);
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         // sum = 3*5 + 2*7 + 1*4 = 33.
         for (i, (x, w)) in [(3u64, 5u64), (2, 7), (1, 4)].iter().enumerate() {
-            sim.set(&format!("x{i}"), *x);
-            sim.set(&format!("w{i}"), *w);
+            sim.try_set(&format!("x{i}"), *x)?;
+            sim.try_set(&format!("w{i}"), *w)?;
         }
-        sim.set("b0", 30);
-        sim.set("b1", 40);
+        sim.try_set("b0", 30)?;
+        sim.try_set("b1", 40)?;
         sim.step(); // load registers
         sim.settle();
-        assert_eq!(sim.get("sum"), 33);
-        assert_eq!(sim.get("class"), 1); // crossed b0 only
-                                         // Push the sum over the second boundary.
-        sim.set("x0", 5);
+        assert_eq!(sim.try_get("sum")?, 33);
+        assert_eq!(sim.try_get("class")?, 1); // crossed b0 only
+                                              // Push the sum over the second boundary.
+        sim.try_set("x0", 5)?;
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("sum"), 43);
-        assert_eq!(sim.get("class"), 2);
+        assert_eq!(sim.try_get("sum")?, 43);
+        assert_eq!(sim.try_get("class")?, 2);
+        Ok(())
     }
 
     #[test]
-    fn combinational_variant_matches_the_registered_engine() {
+    fn combinational_variant_matches_the_registered_engine() -> Result<(), SimError> {
         let spec = SvmSpec {
             width: 4,
             n_features: 3,
@@ -149,31 +151,33 @@ mod tests {
         };
         let m = generate_combinational(&spec);
         assert!(m.is_combinational());
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for (i, (x, w)) in [(3u64, 5u64), (2, 7), (1, 4)].iter().enumerate() {
-            sim.set(&format!("x{i}"), *x);
-            sim.set(&format!("w{i}"), *w);
+            sim.try_set(&format!("x{i}"), *x)?;
+            sim.try_set(&format!("w{i}"), *w)?;
         }
-        sim.set("b0", 30);
-        sim.set("b1", 40);
+        sim.try_set("b0", 30)?;
+        sim.try_set("b1", 40)?;
         sim.settle(); // no load step: the datapath is unregistered
-        assert_eq!(sim.get("sum"), 33);
-        assert_eq!(sim.get("class"), 1);
+        assert_eq!(sim.try_get("sum")?, 33);
+        assert_eq!(sim.try_get("class")?, 1);
+        Ok(())
     }
 
     #[test]
-    fn popcount_counts() {
+    fn popcount_counts() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("pc");
         let x = b.input("x", 5);
         let c = popcount(&mut b, &x);
         b.output("c", &c);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for v in 0..32u64 {
-            sim.set("x", v);
+            sim.try_set("x", v)?;
             sim.settle();
-            assert_eq!(sim.get("c"), v.count_ones() as u64);
+            assert_eq!(sim.try_get("c")?, v.count_ones() as u64);
         }
+        Ok(())
     }
 
     #[test]

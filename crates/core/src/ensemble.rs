@@ -219,6 +219,7 @@ mod tests {
     use ml::synth::Application;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(
@@ -234,36 +235,38 @@ mod tests {
     }
 
     #[test]
-    fn forest_engine_matches_software_forest() {
+    fn forest_engine_matches_software_forest() -> Result<(), SimError> {
         let (qf, fq, test) = setup(Application::Cardio, 4, 8);
         let module = bespoke_forest(&qf);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(80) {
             let codes = fq.code_row(row);
             for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
+                sim.try_set(&format!("f{f}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qf.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qf.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
-    fn vote_counts_are_observable_and_sum_to_tree_count() {
+    fn vote_counts_are_observable_and_sum_to_tree_count() -> Result<(), SimError> {
         let (qf, fq, test) = setup(Application::Har, 4, 4);
         let module = bespoke_forest(&qf);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(40) {
             let codes = fq.code_row(row);
             for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
+                sim.try_set(&format!("f{f}"), codes[f])?;
             }
             sim.settle();
-            let total: u64 = (0..qf.n_classes())
-                .map(|c| sim.get(&format!("votes{c}")))
-                .sum();
+            let total = (0..qf.n_classes())
+                .map(|c| sim.try_get(&format!("votes{c}")))
+                .sum::<Result<u64, SimError>>()?;
             assert_eq!(total, qf.trees().len() as u64);
         }
+        Ok(())
     }
 
     #[test]
@@ -296,6 +299,7 @@ mod lookup_forest_tests {
     use ml::tree::TreeParams;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn deep_forest(bits: usize) -> (QuantizedForest, FeatureQuantizer, ml::Dataset) {
@@ -314,18 +318,19 @@ mod lookup_forest_tests {
     }
 
     #[test]
-    fn lookup_forest_matches_software_forest() {
+    fn lookup_forest_matches_software_forest() -> Result<(), SimError> {
         let (qf, fq, test) = deep_forest(4);
         let module = forest_engine(&qf, ForestStyle::Lookup(LookupConfig::optimized()));
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(60) {
             let codes = fq.code_row(row);
             for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
+                sim.try_set(&format!("f{f}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qf.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qf.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]

@@ -39,7 +39,10 @@ pub struct ExportManifest {
 /// Returns the manifest.
 ///
 /// # Errors
-/// Propagates filesystem errors (directory creation, file writes).
+/// Propagates filesystem errors (directory creation, file writes), and
+/// reports a testbench the simulator cannot produce (wrong vector arity,
+/// a module it rejects) as [`std::io::ErrorKind::InvalidInput`] carrying
+/// the [`netlist::SimError`].
 pub fn export_design(
     dir: &Path,
     module: &Module,
@@ -57,10 +60,9 @@ pub fn export_design(
 
     if !vectors.is_empty() {
         let tb_path = format!("{name}_tb.v");
-        std::fs::write(
-            dir.join(&tb_path),
-            to_testbench(module, vectors, cycles_per_vector),
-        )?;
+        let tb = to_testbench(module, vectors, cycles_per_vector)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        std::fs::write(dir.join(&tb_path), tb)?;
         files.push(tb_path);
     }
 

@@ -225,6 +225,7 @@ mod tests {
     use ml::SvmRegressor;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(app: Application, bits: usize) -> (QuantizedSvm, FeatureQuantizer, ml::Dataset) {
@@ -238,23 +239,24 @@ mod tests {
     }
 
     #[test]
-    fn serial_svm_matches_software_svm() {
+    fn serial_svm_matches_software_svm() -> Result<(), SimError> {
         let (qs, fq, test) = setup(Application::RedWine, 6);
         let (module, info) = serial_svm(&qs);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(60) {
             let codes = fq.code_row(row);
             sim.reset();
             for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
+                sim.try_set(&format!("x{f}"), codes[f])?;
             }
             for _ in 0..info.cycles {
                 sim.step();
             }
             sim.settle();
-            assert_eq!(sim.get("done"), 1, "done after {} cycles", info.cycles);
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes));
+            assert_eq!(sim.try_get("done")?, 1, "done after {} cycles", info.cycles);
+            assert_eq!(sim.try_get("class")? as usize, qs.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
@@ -276,25 +278,26 @@ mod tests {
     }
 
     #[test]
-    fn done_stays_high_and_class_stays_stable_after_completion() {
+    fn done_stays_high_and_class_stays_stable_after_completion() -> Result<(), SimError> {
         let (qs, fq, test) = setup(Application::Har, 4);
         let (module, info) = serial_svm(&qs);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let codes = fq.code_row(&test.x[0]);
         sim.reset();
         for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-            sim.set(&format!("x{f}"), codes[f]);
+            sim.try_set(&format!("x{f}"), codes[f])?;
         }
         for _ in 0..info.cycles {
             sim.step();
         }
         sim.settle();
-        let class = sim.get("class");
+        let class = sim.try_get("class")?;
         for _ in 0..3 {
             sim.step();
             sim.settle();
-            assert_eq!(sim.get("done"), 1, "done must latch");
-            assert_eq!(sim.get("class"), class, "class must hold after done");
+            assert_eq!(sim.try_get("done")?, 1, "done must latch");
+            assert_eq!(sim.try_get("class")?, class, "class must hold after done");
         }
+        Ok(())
     }
 }

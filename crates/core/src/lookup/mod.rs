@@ -123,9 +123,10 @@ pub(crate) fn emit_lut(
 mod tests {
     use super::*;
     use netlist::sim::Simulator;
+    use netlist::SimError;
 
     #[test]
-    fn constant_columns_are_hardwired_and_correct() {
+    fn constant_columns_are_hardwired_and_correct() -> Result<(), SimError> {
         // Contents where bit 0 is always 0 and bit 3 always 1.
         let contents: Vec<u64> = vec![0b1010, 0b1100, 0b1110, 0b1000];
         let mut b = NetlistBuilder::new("t");
@@ -137,12 +138,13 @@ mod tests {
         let m = b.finish();
         // The surviving ROM carries only 2 data columns.
         assert_eq!(m.roms[0].data.len(), 2);
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for (a, want) in contents.iter().enumerate() {
-            sim.set("a", a as u64);
+            sim.try_set("a", a as u64)?;
             sim.settle();
-            assert_eq!(sim.get("o"), *want);
+            assert_eq!(sim.try_get("o")?, *want);
         }
+        Ok(())
     }
 
     #[test]

@@ -131,6 +131,7 @@ mod tests {
     use ml::SvmRegressor;
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(app: Application, bits: usize) -> (QuantizedSvm, FeatureQuantizer, ml::Dataset) {
@@ -143,25 +144,31 @@ mod tests {
         (QuantizedSvm::from_svm(&svm, &fq), fq, test)
     }
 
-    fn check_equivalence(app: Application, bits: usize, config: LookupConfig) {
+    fn check_equivalence(
+        app: Application,
+        bits: usize,
+        config: LookupConfig,
+    ) -> Result<(), SimError> {
         let (qs, fq, test) = setup(app, bits);
         let module = lookup_svm(&qs, config);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in test.x.iter().take(80) {
             let codes = fq.code_row(row);
             for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
+                sim.try_set(&format!("x{f}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qs.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
-    fn lookup_svm_matches_software_svm() {
-        check_equivalence(Application::RedWine, 6, LookupConfig::baseline());
-        check_equivalence(Application::RedWine, 6, LookupConfig::optimized());
-        check_equivalence(Application::Har, 4, LookupConfig::optimized());
+    fn lookup_svm_matches_software_svm() -> Result<(), SimError> {
+        check_equivalence(Application::RedWine, 6, LookupConfig::baseline())?;
+        check_equivalence(Application::RedWine, 6, LookupConfig::optimized())?;
+        check_equivalence(Application::Har, 4, LookupConfig::optimized())?;
+        Ok(())
     }
 
     #[test]

@@ -121,6 +121,7 @@ mod tests {
     use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
     use netlist::sim::Simulator;
+    use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
     fn setup(
@@ -135,26 +136,33 @@ mod tests {
         (QuantizedTree::from_tree(&tree, &fq), fq, test)
     }
 
-    fn check_equivalence(app: Application, depth: usize, bits: usize, config: LookupConfig) {
+    fn check_equivalence(
+        app: Application,
+        depth: usize,
+        bits: usize,
+        config: LookupConfig,
+    ) -> Result<(), SimError> {
         let (qt, fq, test) = setup(app, depth, bits);
         let module = lookup_parallel(&qt, config);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let used = qt.used_features();
         for row in test.x.iter().take(100) {
             let codes = fq.code_row(row);
             for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
+                sim.try_set(&format!("f{slot}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes));
+            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
         }
+        Ok(())
     }
 
     #[test]
-    fn lookup_tree_matches_software_tree() {
-        check_equivalence(Application::Pendigits, 6, 4, LookupConfig::baseline());
-        check_equivalence(Application::Pendigits, 6, 4, LookupConfig::optimized());
-        check_equivalence(Application::Cardio, 4, 8, LookupConfig::optimized());
+    fn lookup_tree_matches_software_tree() -> Result<(), SimError> {
+        check_equivalence(Application::Pendigits, 6, 4, LookupConfig::baseline())?;
+        check_equivalence(Application::Pendigits, 6, 4, LookupConfig::optimized())?;
+        check_equivalence(Application::Cardio, 4, 8, LookupConfig::optimized())?;
+        Ok(())
     }
 
     #[test]

@@ -205,29 +205,31 @@ pub fn adder_tree(b: &mut NetlistBuilder, words: &[Vec<Signal>]) -> Vec<Signal> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::sim::Simulator;
 
     #[test]
-    fn add_exhaustive_4bit() {
+    fn add_exhaustive_4bit() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a", 4);
         let bb = b.input("b", 4);
         let s = add(&mut b, &a, &bb);
         b.output("s", &s);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set("a", x);
-                sim.set("b", y);
+                sim.try_set("a", x)?;
+                sim.try_set("b", y)?;
                 sim.settle();
-                assert_eq!(sim.get("s"), x + y);
+                assert_eq!(sim.try_get("s")?, x + y);
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn sub_exhaustive_4bit() {
+    fn sub_exhaustive_4bit() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a", 4);
         let bb = b.input("b", 4);
@@ -235,20 +237,21 @@ mod tests {
         b.output("d", &d);
         b.output("nb", &[no_borrow]);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set("a", x);
-                sim.set("b", y);
+                sim.try_set("a", x)?;
+                sim.try_set("b", y)?;
                 sim.settle();
-                assert_eq!(sim.get("d"), x.wrapping_sub(y) & 0xF);
-                assert_eq!(sim.get("nb"), (x >= y) as u64);
+                assert_eq!(sim.try_get("d")?, x.wrapping_sub(y) & 0xF);
+                assert_eq!(sim.try_get("nb")?, (x >= y) as u64);
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn multiply_exhaustive_4x4() {
+    fn multiply_exhaustive_4x4() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a", 4);
         let bb = b.input("b", 4);
@@ -256,19 +259,20 @@ mod tests {
         assert_eq!(p.len(), 8);
         b.output("p", &p);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set("a", x);
-                sim.set("b", y);
+                sim.try_set("a", x)?;
+                sim.try_set("b", y)?;
                 sim.settle();
-                assert_eq!(sim.get("p"), x * y, "{x}*{y}");
+                assert_eq!(sim.try_get("p")?, x * y, "{x}*{y}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn mac_matches_reference() {
+    fn mac_matches_reference() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a", 3);
         let bb = b.input("b", 3);
@@ -276,18 +280,19 @@ mod tests {
         let out = mac(&mut b, &a, &bb, &acc);
         b.output("o", &out);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for x in 0..8u64 {
             for y in 0..8u64 {
                 for z in (0..64u64).step_by(7) {
-                    sim.set("a", x);
-                    sim.set("b", y);
-                    sim.set("acc", z);
+                    sim.try_set("a", x)?;
+                    sim.try_set("b", y)?;
+                    sim.try_set("acc", z)?;
                     sim.settle();
-                    assert_eq!(sim.get("o"), x * y + z);
+                    assert_eq!(sim.try_get("o")?, x * y + z);
                 }
             }
         }
+        Ok(())
     }
 
     #[test]
@@ -307,21 +312,22 @@ mod tests {
     }
 
     #[test]
-    fn const_multiply_matches_for_many_constants() {
+    fn const_multiply_matches_for_many_constants() -> Result<(), SimError> {
         for k in [0u64, 1, 2, 3, 5, 7, 12, 100, 102, 255] {
             let mut b = NetlistBuilder::new("t");
             let x = b.input("x", 6);
             let p = const_multiply(&mut b, &x, k);
             b.output("p", &p);
             let m = b.finish();
-            let mut sim = Simulator::new(&m);
+            let mut sim = Simulator::try_new(&m)?;
             for v in 0..64u64 {
-                sim.set("x", v);
+                sim.try_set("x", v)?;
                 sim.settle();
                 let mask = (1u64 << p.len().min(63)) - 1;
-                assert_eq!(sim.get("p"), (v * k) & mask, "k={k} v={v}");
+                assert_eq!(sim.try_get("p")?, (v * k) & mask, "k={k} v={v}");
             }
         }
+        Ok(())
     }
 
     #[test]
@@ -349,34 +355,36 @@ mod tests {
     }
 
     #[test]
-    fn relu_clamps_negative_values() {
+    fn relu_clamps_negative_values() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x", 4);
         let y = relu(&mut b, &x);
         b.output("y", &y);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for v in 0..16u64 {
-            sim.set("x", v);
+            sim.try_set("x", v)?;
             sim.settle();
             let expect = if v >= 8 { 0 } else { v }; // MSB = sign
-            assert_eq!(sim.get("y"), expect);
+            assert_eq!(sim.try_get("y")?, expect);
         }
+        Ok(())
     }
 
     #[test]
-    fn adder_tree_sums_many_words() {
+    fn adder_tree_sums_many_words() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let words: Vec<Vec<_>> = (0..5).map(|i| b.input(format!("w{i}"), 4)).collect();
         let s = adder_tree(&mut b, &words);
         b.output("s", &s);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         let vals = [3u64, 15, 7, 9, 12];
         for (i, v) in vals.iter().enumerate() {
-            sim.set(&format!("w{i}"), *v);
+            sim.try_set(&format!("w{i}"), *v)?;
         }
         sim.settle();
-        assert_eq!(sim.get("s"), vals.iter().sum::<u64>());
+        assert_eq!(sim.try_get("s")?, vals.iter().sum::<u64>());
+        Ok(())
     }
 }

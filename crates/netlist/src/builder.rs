@@ -390,10 +390,8 @@ impl NetlistBuilder {
     pub fn finish(self) -> Module {
         match self.try_finish() {
             Ok(m) => m,
-            Err(SimError::InvalidModule { module, reason }) => {
-                panic!("generated module {module} is invalid: {reason}")
-            }
-            Err(e) => e.raise(),
+            // Reads "generated module <name> is invalid: <reason>".
+            Err(e) => panic!("generated {e}"),
         }
     }
 

@@ -152,9 +152,10 @@ pub fn priority_encode(b: &mut NetlistBuilder, lines: &[Signal]) -> Vec<Signal> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::sim::Simulator;
 
-    fn check2<F>(width: usize, build: F, expect: impl Fn(u64, u64) -> u64)
+    fn check2<F>(width: usize, build: F, expect: impl Fn(u64, u64) -> u64) -> Result<(), SimError>
     where
         F: Fn(&mut NetlistBuilder, &[Signal], &[Signal]) -> Signal,
     {
@@ -164,74 +165,84 @@ mod tests {
         let out = build(&mut b, &a, &bb);
         b.output("o", &[out]);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for x in 0..(1u64 << width) {
             for y in 0..(1u64 << width) {
-                sim.set("a", x);
-                sim.set("b", y);
+                sim.try_set("a", x)?;
+                sim.try_set("b", y)?;
                 sim.settle();
-                assert_eq!(sim.get("o"), expect(x, y), "x={x} y={y}");
+                assert_eq!(sim.try_get("o")?, expect(x, y), "x={x} y={y}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn gt_le_lt_ge_exhaustive_4bit() {
-        check2(4, unsigned_gt, |x, y| (x > y) as u64);
-        check2(4, unsigned_le, |x, y| (x <= y) as u64);
-        check2(4, unsigned_lt, |x, y| (x < y) as u64);
-        check2(4, unsigned_ge, |x, y| (x >= y) as u64);
+    fn gt_le_lt_ge_exhaustive_4bit() -> Result<(), SimError> {
+        check2(4, unsigned_gt, |x, y| (x > y) as u64)?;
+        check2(4, unsigned_le, |x, y| (x <= y) as u64)?;
+        check2(4, unsigned_lt, |x, y| (x < y) as u64)?;
+        check2(4, unsigned_ge, |x, y| (x >= y) as u64)?;
+        Ok(())
     }
 
     #[test]
-    fn equality_exhaustive_3bit() {
-        check2(3, equals, |x, y| (x == y) as u64);
+    fn equality_exhaustive_3bit() -> Result<(), SimError> {
+        check2(3, equals, |x, y| (x == y) as u64)?;
+        Ok(())
     }
 
     #[test]
-    fn decoder_is_one_hot() {
+    fn decoder_is_one_hot() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a", 3);
         let lines = decoder(&mut b, &a);
         b.output("o", &lines);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for v in 0..8u64 {
-            sim.set("a", v);
+            sim.try_set("a", v)?;
             sim.settle();
-            assert_eq!(sim.get("o"), 1 << v);
+            assert_eq!(sim.try_get("o")?, 1 << v);
         }
+        Ok(())
     }
 
     #[test]
-    fn onehot_select_picks_the_right_word() {
+    fn onehot_select_picks_the_right_word() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let sel = b.input("sel", 4);
         let words: Vec<Vec<Signal>> = (0..4).map(|i| b.const_word(10 + i, 6)).collect();
         let out = onehot_select(&mut b, &sel, &words);
         b.output("o", &out);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for i in 0..4 {
-            sim.set("sel", 1 << i);
+            sim.try_set("sel", 1 << i)?;
             sim.settle();
-            assert_eq!(sim.get("o"), 10 + i as u64);
+            assert_eq!(sim.try_get("o")?, 10 + i as u64);
         }
+        Ok(())
     }
 
     #[test]
-    fn priority_encoder_prefers_lsb() {
+    fn priority_encoder_prefers_lsb() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let lines = b.input("l", 5);
         let idx = priority_encode(&mut b, &lines);
         b.output("o", &idx);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for v in 1..32u64 {
-            sim.set("l", v);
+            sim.try_set("l", v)?;
             sim.settle();
-            assert_eq!(sim.get("o"), v.trailing_zeros() as u64, "lines={v:05b}");
+            assert_eq!(
+                sim.try_get("o")?,
+                v.trailing_zeros() as u64,
+                "lines={v:05b}"
+            );
         }
+        Ok(())
     }
 
     #[test]

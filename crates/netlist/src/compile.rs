@@ -1,12 +1,12 @@
 //! Compiled wide-lane simulation kernel.
 //!
-//! The interpreted [`crate::batch::BatchSimulator`] pays an enum dispatch,
-//! a `Signal` match and three bounds-checked `HashMap`-era indirections
-//! per gate per settle pass. Every downstream pipeline — equivalence
-//! sign-off, stuck-at fault grading, the analog variation Monte Carlo —
-//! bottoms out in that loop, so this module compiles a levelized module
-//! *once* into a flat instruction tape and then replays the tape over
-//! wide lane words:
+//! Interpreting a module pays an enum dispatch, a `Signal` match and a
+//! driver-map indirection per gate per settle pass. Every downstream
+//! pipeline — equivalence sign-off, stuck-at fault grading, the analog
+//! variation Monte Carlo — bottoms out in that loop, so this module
+//! compiles a levelized module *once* into a flat instruction tape and
+//! then replays the tape over wide lane words. It is the crate's only
+//! lane-parallel engine:
 //!
 //! * [`CompiledNetlist`] — a dense SoA tape: one opcode byte, three
 //!   pre-resolved operand value-slot indices and one output slot per
@@ -21,9 +21,9 @@
 //! * [`WideSim`] — a lane-width-generic evaluator whose net values are
 //!   `[u64; W]` blocks (64·W vectors per settle; `W = 1` and `W = 4`
 //!   are the shipped widths). The per-instruction word loop is written
-//!   so LLVM auto-vectorizes it. In-place stuck-at fault injection keeps
-//!   the interpreter's semantics: the faulty slot is pinned to a
-//!   broadcast word before the pass and every write to it is skipped.
+//!   so LLVM auto-vectorizes it. In-place stuck-at fault injection matches
+//!   [`crate::faults::inject`]: the faulty slot is pinned to a broadcast
+//!   word before the pass and every write to it is skipped.
 //!
 //! The tape is immutable after compilation, so one `Arc<CompiledNetlist>`
 //! is shared across all [`exec::parallel_map`] shards in
@@ -34,20 +34,20 @@
 //! volume lands in the `netlist.sim.settles` / `netlist.sim.vectors`
 //! counters published batch-wise by the callers.
 //!
-//! Bit-identity with the scalar [`crate::sim::Simulator`] (and with the
-//! retained interpreter, [`crate::batch::reference`]) is pinned by unit
-//! tests here and the workspace property tests at lane counts straddling
-//! every word boundary, with and without injected faults.
+//! Bit-identity with the scalar [`crate::sim::Simulator`], the
+//! independent reference, is pinned by unit tests here, the workspace
+//! property tests at lane counts straddling every word boundary (with
+//! and without injected faults) and the `check` crate's engine oracle.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use pdk::CellKind;
 
-use crate::error::SimError;
+use crate::error::{check_width, SimError};
 use crate::ir::{Module, NetId, Port, Signal};
 
-/// Compilations performed (one per [`CompiledNetlist::compile`]).
+/// Compilations performed (one per [`CompiledNetlist::try_compile`]).
 static COMPILES: obs::Counter = obs::Counter::new("netlist.sim.compiles");
 /// Gates flattened into instruction tapes across all compilations.
 static COMPILED_GATES: obs::Counter = obs::Counter::new("netlist.sim.gates");
@@ -108,8 +108,8 @@ enum RomStrategy {
     /// (one AND per row per address bit, by recursive doubling), then
     /// OR each selected row's set data bits into the data columns.
     Mask,
-    /// Per-lane scalar addressing (the interpreter's scheme), for ROMs
-    /// whose address space is too large to expand.
+    /// Per-lane scalar addressing, for ROMs whose address space is too
+    /// large to expand.
     PerLane,
 }
 
@@ -138,9 +138,9 @@ struct CompiledPort {
 
 /// A combinational module flattened into an immutable instruction tape.
 ///
-/// Build one with [`CompiledNetlist::compile`], then evaluate it with any
-/// number of [`WideSim`] instances — typically one per worker shard over
-/// a shared `Arc`:
+/// Build one with [`CompiledNetlist::try_compile`], then evaluate it with
+/// any number of [`WideSim`] instances — typically one per worker shard
+/// over a shared `Arc`:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -151,12 +151,14 @@ struct CompiledPort {
 /// let x = b.input("x", 2);
 /// let y = b.xor(x[0], x[1]);
 /// b.output("y", &[y]);
-/// let compiled = Arc::new(CompiledNetlist::compile(&b.finish()));
+/// let compiled = Arc::new(CompiledNetlist::try_compile(&b.finish())?);
 ///
+/// // 64 lanes per settle; `WideSim<4>` settles 256.
 /// let mut sim: WideSim<1> = WideSim::new(Arc::clone(&compiled));
-/// sim.set_lanes("x", &[0b00, 0b01, 0b10, 0b11]);
+/// sim.try_set_lanes("x", &[0b00, 0b01, 0b10, 0b11])?;
 /// sim.settle();
-/// assert_eq!(sim.lanes("y", 4), vec![0, 1, 1, 0]);
+/// assert_eq!(sim.try_lanes("y", 4)?, vec![0, 1, 1, 0]);
+/// # Ok::<(), netlist::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
@@ -184,7 +186,7 @@ pub struct CompiledNetlist {
     /// Output ports in declaration order.
     outputs: Vec<CompiledPort>,
     /// All input-port slots flattened port-major, bit-minor (the packed
-    /// image layout of [`WideSim::pack_vectors`]).
+    /// image layout of [`WideSim::try_pack_vectors`]).
     input_slots: Vec<u32>,
     /// Creation-order slot (`slot_of`) → execution-order slot. Value
     /// slots are renumbered into definition order at compile time for
@@ -203,21 +205,9 @@ fn slot_of(s: Signal) -> u32 {
 }
 
 impl CompiledNetlist {
-    /// Levelizes and flattens a *combinational* module into a tape.
-    ///
-    /// # Panics
-    /// Panics if the module is sequential, invalid, or contains a
-    /// combinational cycle. Use [`CompiledNetlist::try_compile`] to
-    /// handle those as errors.
-    pub fn compile(module: &Module) -> Self {
-        match Self::try_compile(module) {
-            Ok(c) => c,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible compilation: reports sequential or invalid modules and
-    /// combinational cycles as [`SimError`] instead of panicking.
+    /// Levelizes and flattens a *combinational* module into a tape,
+    /// reporting sequential or invalid modules and combinational cycles
+    /// as [`SimError`].
     pub fn try_compile(module: &Module) -> Result<Self, SimError> {
         let _span = obs::span("netlist.sim.compile");
         COMPILE_NS.time(|| Self::compile_inner(module))
@@ -418,13 +408,16 @@ impl CompiledNetlist {
     }
 
     fn output_port(&self, name: &str) -> Result<&CompiledPort, SimError> {
-        self.outputs
+        let port = self
+            .outputs
             .iter()
             .find(|p| p.name == name)
             .ok_or_else(|| SimError::UnknownPort {
                 direction: "output",
                 name: name.to_string(),
-            })
+            })?;
+        check_width(&port.name, port.slots.len())?;
+        Ok(port)
     }
 }
 
@@ -568,19 +561,9 @@ impl<const W: usize> WideSim<W> {
         &self.compiled
     }
 
-    /// Drives input port `name` with up to `64·W` per-lane values.
-    ///
-    /// # Panics
-    /// Panics if the port does not exist or more than `64·W` lanes are
-    /// given. Use [`WideSim::try_set_lanes`] to handle those as errors.
-    pub fn set_lanes(&mut self, name: &str, lane_values: &[u64]) {
-        if let Err(e) = self.try_set_lanes(name, lane_values) {
-            e.raise()
-        }
-    }
-
-    /// Fallible lane binding: reports unknown ports and over-wide lane
-    /// counts as [`SimError`].
+    /// Drives input port `name` with up to `64·W` per-lane values,
+    /// reporting unknown ports, ports wider than 64 bits and over-wide
+    /// lane counts as [`SimError`].
     pub fn try_set_lanes(&mut self, name: &str, lane_values: &[u64]) -> Result<(), SimError> {
         let Some(port_index) = self.compiled.inputs.iter().position(|p| p.name == name) else {
             return Err(SimError::UnknownPort {
@@ -591,20 +574,9 @@ impl<const W: usize> WideSim<W> {
         self.try_set_port_lanes(port_index, lane_values)
     }
 
-    /// [`Self::set_lanes`] by input-port index (declaration order) —
-    /// the hot-loop variant, no name lookup.
-    ///
-    /// # Panics
-    /// Panics if more than `64·W` lanes are given. Use
-    /// [`WideSim::try_set_port_lanes`] to handle that as an error.
-    pub fn set_port_lanes(&mut self, port_index: usize, lane_values: &[u64]) {
-        if let Err(e) = self.try_set_port_lanes(port_index, lane_values) {
-            e.raise()
-        }
-    }
-
-    /// Fallible [`Self::set_port_lanes`]: reports an over-wide lane count
-    /// as [`SimError::TooManyLanes`].
+    /// [`Self::try_set_lanes`] by input-port index (declaration order) —
+    /// the hot-loop variant, no name lookup. An index past the last input
+    /// port is reported as [`SimError::UnknownPort`] named `#index`.
     pub fn try_set_port_lanes(
         &mut self,
         port_index: usize,
@@ -617,7 +589,13 @@ impl<const W: usize> WideSim<W> {
             });
         }
         let compiled = Arc::clone(&self.compiled);
-        let port = &compiled.inputs[port_index];
+        let Some(port) = compiled.inputs.get(port_index) else {
+            return Err(SimError::UnknownPort {
+                direction: "input",
+                name: format!("#{port_index}"),
+            });
+        };
+        check_width(&port.name, port.slots.len())?;
         for (bit, &slot) in port.slots.iter().enumerate() {
             let mut block = [0u64; W];
             for (lane, &v) in lane_values.iter().enumerate() {
@@ -632,28 +610,19 @@ impl<const W: usize> WideSim<W> {
 
     /// Transposes a chunk of up to `64·W` input vectors (one value per
     /// input port, in port order) into per-input-net lane blocks. The
-    /// returned image replays cheaply via [`Self::load_packed`] — fault
-    /// grading packs every vector chunk once and reloads it per fault.
-    ///
-    /// # Panics
-    /// Panics if more than `64·W` vectors are given or a vector's arity
-    /// is wrong. Use [`WideSim::try_pack_vectors`] to handle those as
-    /// errors.
-    pub fn pack_vectors(&self, chunk: &[Vec<u64>]) -> Vec<[u64; W]> {
-        match self.try_pack_vectors(chunk) {
-            Ok(image) => image,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible transpose: reports over-wide chunks and arity mismatches
-    /// as [`SimError`].
+    /// returned image replays cheaply via [`Self::try_load_packed`] —
+    /// fault grading packs every vector chunk once and reloads it per
+    /// fault. Over-wide chunks, arity mismatches and ports wider than 64
+    /// bits are reported as [`SimError`].
     pub fn try_pack_vectors(&self, chunk: &[Vec<u64>]) -> Result<Vec<[u64; W]>, SimError> {
         if chunk.len() > Self::LANES {
             return Err(SimError::TooManyLanes {
                 given: chunk.len(),
                 max: Self::LANES,
             });
+        }
+        for port in &self.compiled.inputs {
+            check_width(&port.name, port.slots.len())?;
         }
         for (i, v) in chunk.iter().enumerate() {
             if v.len() != self.compiled.inputs.len() {
@@ -680,19 +649,8 @@ impl<const W: usize> WideSim<W> {
         Ok(image)
     }
 
-    /// Loads an input image produced by [`Self::pack_vectors`].
-    ///
-    /// # Panics
-    /// Panics if the image length does not match the module's input
-    /// bits. Use [`WideSim::try_load_packed`] to handle that as an error.
-    pub fn load_packed(&mut self, image: &[[u64; W]]) {
-        if let Err(e) = self.try_load_packed(image) {
-            e.raise()
-        }
-    }
-
-    /// Fallible image load: reports a wrong block count as
-    /// [`SimError::ImageLength`].
+    /// Loads an input image produced by [`Self::try_pack_vectors`],
+    /// reporting a wrong block count as [`SimError::ImageLength`].
     pub fn try_load_packed(&mut self, image: &[[u64; W]]) -> Result<(), SimError> {
         if image.len() != self.compiled.input_slots.len() {
             return Err(SimError::ImageLength {
@@ -850,7 +808,7 @@ impl<const W: usize> WideSim<W> {
 
     /// Per-lane ROM evaluation for address spaces too large to expand:
     /// assemble each lane's address scalar-wise and scatter the read
-    /// word's bits — the interpreter's exact scheme, per 64-lane word.
+    /// word's bits, per 64-lane word.
     fn eval_rom_per_lane(&mut self, rom: &CompiledRom) {
         let d = rom.data.len();
         for w in 0..W {
@@ -879,20 +837,9 @@ impl<const W: usize> WideSim<W> {
         (self.values[slot as usize][lane / 64] >> (lane % 64)) & 1 == 1
     }
 
-    /// Reads output port `name` for the first `lanes` lanes.
-    ///
-    /// # Panics
-    /// Panics if the port does not exist. Use [`WideSim::try_lanes`] to
-    /// handle that as an error.
-    pub fn lanes(&self, name: &str, lanes: usize) -> Vec<u64> {
-        match self.try_lanes(name, lanes) {
-            Ok(v) => v,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible port read: reports an unknown output name as
-    /// [`SimError::UnknownPort`].
+    /// Reads output port `name` for the first `lanes` lanes, reporting an
+    /// unknown name as [`SimError::UnknownPort`] and a port wider than 64
+    /// bits as [`SimError::PortTooWide`].
     pub fn try_lanes(&self, name: &str, lanes: usize) -> Result<Vec<u64>, SimError> {
         let port = self.compiled.output_port(name)?;
         Ok((0..lanes)
@@ -952,36 +899,37 @@ mod tests {
     use crate::sim::Simulator;
     use pdk::RomStyle;
 
-    fn compile(m: &Module) -> Arc<CompiledNetlist> {
-        Arc::new(CompiledNetlist::compile(m))
+    fn compile(m: &Module) -> Result<Arc<CompiledNetlist>, SimError> {
+        Ok(Arc::new(CompiledNetlist::try_compile(m)?))
     }
 
     #[test]
-    fn wide_sim_matches_scalar_on_an_adder_at_256_lanes() {
+    fn wide_sim_matches_scalar_on_an_adder_at_256_lanes() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("add");
         let x = b.input("x", 8);
         let y = b.input("y", 8);
         let s = crate::arith::add(&mut b, &x, &y);
         b.output("s", &s);
         let m = b.finish();
-        let mut sim: WideSim<4> = WideSim::new(compile(&m));
+        let mut sim: WideSim<4> = WideSim::new(compile(&m)?);
         let xs: Vec<u64> = (0..256).collect();
         let ys: Vec<u64> = (0..256).map(|v| (v * 37) % 256).collect();
-        sim.set_lanes("x", &xs);
-        sim.set_lanes("y", &ys);
+        sim.try_set_lanes("x", &xs)?;
+        sim.try_set_lanes("y", &ys)?;
         sim.settle();
-        let got = sim.lanes("s", 256);
-        let mut scalar = Simulator::new(&m);
+        let got = sim.try_lanes("s", 256)?;
+        let mut scalar = Simulator::try_new(&m)?;
         for lane in 0..256 {
-            scalar.set("x", xs[lane]);
-            scalar.set("y", ys[lane]);
+            scalar.try_set("x", xs[lane])?;
+            scalar.try_set("y", ys[lane])?;
             scalar.settle();
-            assert_eq!(got[lane], scalar.get("s"), "lane {lane}");
+            assert_eq!(got[lane], scalar.try_get("s")?, "lane {lane}");
         }
+        Ok(())
     }
 
     #[test]
-    fn folded_inversions_cover_every_cell_kind() {
+    fn folded_inversions_cover_every_cell_kind() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("kinds");
         let x = b.input("x", 3);
         let outs = vec![
@@ -997,21 +945,22 @@ mod tests {
         ];
         b.output("o", &outs);
         let m = b.finish();
-        let mut sim: WideSim<1> = WideSim::new(compile(&m));
+        let mut sim: WideSim<1> = WideSim::new(compile(&m)?);
         let vs: Vec<u64> = (0..8).collect();
-        sim.set_lanes("x", &vs);
+        sim.try_set_lanes("x", &vs)?;
         sim.settle();
-        let got = sim.lanes("o", 8);
-        let mut scalar = Simulator::new(&m);
+        let got = sim.try_lanes("o", 8)?;
+        let mut scalar = Simulator::try_new(&m)?;
         for (lane, &v) in vs.iter().enumerate() {
-            scalar.set("x", v);
+            scalar.try_set("x", v)?;
             scalar.settle();
-            assert_eq!(got[lane], scalar.get("o"), "x={v}");
+            assert_eq!(got[lane], scalar.try_get("o")?, "x={v}");
         }
+        Ok(())
     }
 
     #[test]
-    fn mask_strategy_matches_per_lane_strategy() {
+    fn mask_strategy_matches_per_lane_strategy() -> Result<(), SimError> {
         // Same ROM compiled both ways must read identically, including
         // addresses beyond the stored contents (which read zero).
         let mut b = NetlistBuilder::new("rom");
@@ -1020,114 +969,80 @@ mod tests {
         let d = b.rom(&a, contents, 4, RomStyle::Crossbar);
         b.output("d", &d);
         let m = b.finish();
-        let compiled = CompiledNetlist::compile(&m);
+        let compiled = CompiledNetlist::try_compile(&m)?;
         assert_eq!(compiled.roms[0].strategy, RomStrategy::Mask);
         let mut forced = compiled.clone();
         forced.roms[0].strategy = RomStrategy::PerLane;
         let addrs: Vec<u64> = (0..16).collect();
         let mut mask_sim: WideSim<1> = WideSim::new(Arc::new(compiled));
         let mut lane_sim: WideSim<1> = WideSim::new(Arc::new(forced));
-        mask_sim.set_lanes("a", &addrs);
-        lane_sim.set_lanes("a", &addrs);
+        mask_sim.try_set_lanes("a", &addrs)?;
+        lane_sim.try_set_lanes("a", &addrs)?;
         mask_sim.settle();
         lane_sim.settle();
-        assert_eq!(mask_sim.lanes("d", 16), lane_sim.lanes("d", 16));
+        assert_eq!(mask_sim.try_lanes("d", 16)?, lane_sim.try_lanes("d", 16)?);
         assert_eq!(
-            mask_sim.lanes("d", 16),
+            mask_sim.try_lanes("d", 16)?,
             vec![9, 1, 4, 7, 2, 8, 5, 3, 6, 0, 0, 0, 0, 0, 0, 0]
         );
+        Ok(())
     }
 
     #[test]
-    fn wide_roms_fall_back_to_per_lane() {
+    fn wide_roms_fall_back_to_per_lane() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("bigrom");
         let a = b.input("a", ROM_MASK_ADDR_LIMIT + 1);
         let contents: Vec<u64> = (0..64u64).map(|v| v * 3 % 17).collect();
         let d = b.rom(&a, contents, 5, RomStyle::Crossbar);
         b.output("d", &d);
         let m = b.finish();
-        let compiled = compile(&m);
+        let compiled = compile(&m)?;
         assert_eq!(compiled.roms[0].strategy, RomStrategy::PerLane);
         let mut sim: WideSim<1> = WideSim::new(compiled);
         let addrs: Vec<u64> = (0..64).map(|v| v * 31 % 2048).collect();
-        sim.set_lanes("a", &addrs);
+        sim.try_set_lanes("a", &addrs)?;
         sim.settle();
-        let got = sim.lanes("d", 64);
-        let mut scalar = Simulator::new(&m);
+        let got = sim.try_lanes("d", 64)?;
+        let mut scalar = Simulator::try_new(&m)?;
         for (lane, &v) in addrs.iter().enumerate() {
-            scalar.set("a", v);
+            scalar.try_set("a", v)?;
             scalar.settle();
-            assert_eq!(got[lane], scalar.get("d"), "addr {v}");
+            assert_eq!(got[lane], scalar.try_get("d")?, "addr {v}");
         }
+        Ok(())
     }
 
     #[test]
-    fn injected_faults_pin_nets_and_skip_writes() {
-        let mut b = NetlistBuilder::new("mix");
-        let x = b.input("x", 3);
-        let a = b.and(x[0], x[1]);
-        let o = b.xor(a, x[2]);
-        let n = b.not(o);
-        b.output("o", &[o, n]);
-        let m = b.finish();
-        let compiled = compile(&m);
-        let vectors: Vec<Vec<u64>> = (0..8).map(|v| vec![v]).collect();
-        let mut sim: WideSim<2> = WideSim::new(compiled);
-        let image = sim.pack_vectors(&vectors);
-        for fault in crate::faults::fault_sites(&m) {
-            sim.inject_fault(fault.net, fault.stuck_at);
-            sim.load_packed(&image);
-            sim.settle();
-            let got = sim.lanes("o", 8);
-            let faulty = crate::faults::inject(&m, fault);
-            let mut reference = Simulator::new(&faulty);
-            for (lane, v) in vectors.iter().enumerate() {
-                reference.set("x", v[0]);
-                reference.settle();
-                assert_eq!(got[lane], reference.get("o"), "{fault:?} lane {lane}");
-            }
-        }
-        sim.clear_fault();
-        sim.load_packed(&image);
-        sim.settle();
-        let mut clean = Simulator::new(&m);
-        for (lane, v) in vectors.iter().enumerate() {
-            clean.set("x", v[0]);
-            clean.settle();
-            assert_eq!(sim.lanes("o", 8)[lane], clean.get("o"));
-        }
-    }
-
-    #[test]
-    fn rom_data_faults_survive_both_strategies() {
+    fn rom_data_faults_survive_both_strategies() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("rom");
         let a = b.input("a", 2);
         let d = b.rom(&a, vec![0, 1, 2, 3], 2, RomStyle::Crossbar);
         b.output("d", &d);
         let m = b.finish();
         for force_per_lane in [false, true] {
-            let mut compiled = CompiledNetlist::compile(&m);
+            let mut compiled = CompiledNetlist::try_compile(&m)?;
             if force_per_lane {
                 compiled.roms[0].strategy = RomStrategy::PerLane;
             }
             let mut sim: WideSim<1> = WideSim::new(Arc::new(compiled));
             sim.inject_fault(m.roms[0].data[0], true);
-            sim.set_lanes("a", &[0, 1, 2, 3]);
+            sim.try_set_lanes("a", &[0, 1, 2, 3])?;
             sim.settle();
-            assert_eq!(sim.lanes("d", 4), vec![1, 1, 3, 3]);
+            assert_eq!(sim.try_lanes("d", 4)?, vec![1, 1, 3, 3]);
         }
+        Ok(())
     }
 
     #[test]
-    fn output_words_and_matching_span_word_boundaries() {
+    fn output_words_and_matching_span_word_boundaries() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("wide");
         let x = b.input("x", 1);
         let o = b.not(x[0]);
         b.output("o", &[o, x[0]]);
         let m = b.finish();
-        let mut sim: WideSim<2> = WideSim::new(compile(&m));
+        let mut sim: WideSim<2> = WideSim::new(compile(&m)?);
         let vs: Vec<u64> = (0..100).map(|v| v & 1).collect();
-        sim.set_lanes("x", &vs);
+        sim.try_set_lanes("x", &vs)?;
         sim.settle();
         for lanes in [1usize, 63, 64, 65, 100] {
             let image = sim.output_words(lanes);
@@ -1144,29 +1059,169 @@ mod tests {
                 assert!(!sim.outputs_match(&beyond, lanes), "expected image differs");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn constants_occupy_dedicated_slots() {
+    fn constants_occupy_dedicated_slots() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("c");
         let x = b.input("x", 1);
         let y = b.and(x[0], Signal::ONE);
         let z = b.or(y, Signal::ZERO);
         b.output("z", &[z, Signal::ONE]);
         let m = b.finish();
-        let mut sim: WideSim<1> = WideSim::new(compile(&m));
-        sim.set_lanes("x", &[0, 1, 1, 0]);
+        let mut sim: WideSim<1> = WideSim::new(compile(&m)?);
+        sim.try_set_lanes("x", &[0, 1, 1, 0])?;
         sim.settle();
-        assert_eq!(sim.lanes("z", 4), vec![0b10, 0b11, 0b11, 0b10]);
+        assert_eq!(sim.try_lanes("z", 4)?, vec![0b10, 0b11, 0b11, 0b10]);
+        Ok(())
     }
 
     #[test]
-    #[should_panic(expected = "combinational-only")]
     fn sequential_modules_are_rejected() {
         let mut b = NetlistBuilder::new("seq");
         let x = b.input("x", 1);
         let q = b.dff(x[0], false);
         b.output("q", &[q]);
-        let _ = CompiledNetlist::compile(&b.finish());
+        assert_eq!(
+            CompiledNetlist::try_compile(&b.finish()).err(),
+            Some(SimError::Sequential {
+                module: "seq".into()
+            })
+        );
+    }
+
+    #[test]
+    fn packed_images_replay_like_set_lanes() -> Result<(), SimError> {
+        let mut b = NetlistBuilder::new("add");
+        let x = b.input("x", 4);
+        let y = b.input("y", 4);
+        let s = crate::arith::add(&mut b, &x, &y);
+        b.output("s", &s);
+        let m = b.finish();
+        let mut sim: WideSim<1> = WideSim::new(compile(&m)?);
+        let vectors: Vec<Vec<u64>> = (0..16).map(|v| vec![v, (v * 3) % 16]).collect();
+        let image = sim.try_pack_vectors(&vectors)?;
+        sim.try_load_packed(&image)?;
+        sim.settle();
+        let via_packed = sim.try_lanes("s", 16)?;
+        let words = sim.output_words(16);
+        assert!(sim.outputs_match(&words, 16));
+        sim.try_set_lanes("x", &(0..16).collect::<Vec<u64>>())?;
+        sim.try_set_lanes("y", &(0..16).map(|v| (v * 3) % 16).collect::<Vec<u64>>())?;
+        sim.settle();
+        assert_eq!(via_packed, sim.try_lanes("s", 16)?);
+        assert!(sim.outputs_match(&words, 16));
+        Ok(())
+    }
+
+    #[test]
+    fn logic_rom_logic_chains_evaluate_in_order() -> Result<(), SimError> {
+        let mut b = NetlistBuilder::new("mix");
+        let x = b.input("x", 2);
+        let inv: Vec<Signal> = x.iter().map(|&s| b.not(s)).collect();
+        let d = b.rom(&inv, vec![3, 2, 1, 0], 2, RomStyle::Crossbar);
+        let out = b.xor(d[0], d[1]);
+        b.output("o", &[out]);
+        let m = b.finish();
+        let mut sim: WideSim<1> = WideSim::new(compile(&m)?);
+        sim.try_set_lanes("x", &[0, 1, 2, 3])?;
+        sim.settle();
+        let got = sim.try_lanes("o", 4)?;
+        let mut scalar = Simulator::try_new(&m)?;
+        for v in 0..4u64 {
+            scalar.try_set("x", v)?;
+            scalar.settle();
+            assert_eq!(got[v as usize], scalar.try_get("o")?, "v={v}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn injected_faults_match_reference_injection_word_for_word() -> Result<(), SimError> {
+        // Gates, constants and a ROM under every fault site and polarity,
+        // then with the fault cleared: the in-place pin must produce the
+        // response image of the cloned `faults::inject` module (or of the
+        // clean module) on the scalar engine.
+        let mut b = NetlistBuilder::new("pair");
+        let x = b.input("x", 4);
+        let inv: Vec<Signal> = x.iter().map(|&s| b.not(s)).collect();
+        let d = b.rom(&inv[..2], vec![2, 0, 3, 1], 2, RomStyle::Crossbar);
+        let g = b.and(d[0], x[2]);
+        let h = b.xnor(g, inv[3]);
+        b.output("o", &[h, d[1], Signal::ONE]);
+        let m = b.finish();
+        let vectors: Vec<Vec<u64>> = (0..16).map(|v| vec![v]).collect();
+        let mut sim: WideSim<1> = WideSim::new(compile(&m)?);
+        let image = sim.try_pack_vectors(&vectors)?;
+        let sites = crate::faults::fault_sites(&m);
+        for fault in sites.iter().map(Some).chain([None]) {
+            let reference_module = match fault {
+                Some(f) => {
+                    sim.inject_fault(f.net, f.stuck_at);
+                    crate::faults::inject(&m, *f)
+                }
+                None => {
+                    sim.clear_fault();
+                    m.clone()
+                }
+            };
+            sim.try_load_packed(&image)?;
+            sim.settle();
+            let mut reference = Simulator::try_new(&reference_module)?;
+            let mut words = vec![0u64; 3];
+            for (lane, v) in vectors.iter().enumerate() {
+                reference.try_set("x", v[0])?;
+                reference.settle();
+                let o = reference.try_get("o")?;
+                for (bit, word) in words.iter_mut().enumerate() {
+                    *word |= ((o >> bit) & 1) << lane;
+                }
+            }
+            assert_eq!(sim.output_words(16), words, "{fault:?}");
+            assert!(sim.outputs_match(&words, 16), "{fault:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn out_of_range_port_indices_are_unknown_ports() -> Result<(), SimError> {
+        let mut b = NetlistBuilder::new("one");
+        let x = b.input("x", 1);
+        b.output("o", &[x[0]]);
+        let mut sim: WideSim<1> = WideSim::new(compile(&b.finish())?);
+        assert_eq!(
+            sim.try_set_port_lanes(5, &[1]),
+            Err(SimError::UnknownPort {
+                direction: "input",
+                name: "#5".into()
+            })
+        );
+        sim.try_set_port_lanes(0, &[1])?;
+        sim.settle();
+        assert_eq!(sim.try_lanes("o", 1)?, vec![1]);
+        Ok(())
+    }
+
+    #[test]
+    fn ports_wider_than_64_bits_are_rejected() -> Result<(), SimError> {
+        let mut b = NetlistBuilder::new("wide");
+        let x = b.input("x", 65);
+        b.output("o", &x);
+        let mut sim: WideSim<1> = WideSim::new(compile(&b.finish())?);
+        let too_wide = |port: &str| {
+            Err::<(), _>(SimError::PortTooWide {
+                port: port.into(),
+                bits: 65,
+            })
+        };
+        assert_eq!(sim.try_set_lanes("x", &[1]), too_wide("x"));
+        assert_eq!(sim.try_set_port_lanes(0, &[1]), too_wide("x"));
+        assert_eq!(sim.try_pack_vectors(&[vec![1]]).map(drop), too_wide("x"));
+        assert_eq!(sim.try_lanes("o", 1).map(drop), too_wide("o"));
+        // The word-level response image carries no u64 port values.
+        sim.settle();
+        assert_eq!(sim.output_words(1), vec![0; 65]);
+        Ok(())
     }
 }

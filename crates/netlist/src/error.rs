@@ -1,14 +1,13 @@
 //! Typed simulation errors.
 //!
-//! Every engine in this crate (the scalar [`crate::sim::Simulator`], the
-//! interpreted [`crate::batch::reference::InterpretedSimulator`], the
-//! compiled [`crate::compile::CompiledNetlist`] / [`crate::compile::WideSim`]
-//! tape and the [`crate::batch::BatchSimulator`] wrapper) exposes fallible
-//! `try_*` entry points returning [`SimError`]. The historical panicking
-//! names remain as thin convenience wrappers over those, so library callers
-//! — the differential fuzzer in `crates/check` first among them — can
-//! distinguish "this input was rejected" from "two engines disagree"
-//! without the process aborting.
+//! Both engines in this crate — the scalar [`crate::sim::Simulator`] and
+//! the compiled [`crate::compile::CompiledNetlist`] /
+//! [`crate::compile::WideSim`] tape — expose one fallible `try_*` API per
+//! operation, returning [`SimError`]. There are no panicking twins:
+//! library callers pass the error up, binaries and tests decide how to
+//! fail, and the differential fuzzer in `crates/check` can distinguish
+//! "this input was rejected" from "two engines disagree" without the
+//! process aborting.
 
 use std::error::Error;
 use std::fmt;
@@ -39,8 +38,15 @@ pub enum SimError {
     UnknownPort {
         /// `"input"` or `"output"`.
         direction: &'static str,
-        /// The requested port name.
+        /// The requested port name (`#i` for an out-of-range port index).
         name: String,
+    },
+    /// A `u64`-valued port API was used on a port wider than 64 bits.
+    PortTooWide {
+        /// Port name.
+        port: String,
+        /// The port's width in bits.
+        bits: usize,
     },
     /// More parallel lanes were requested than the engine supports.
     TooManyLanes {
@@ -88,6 +94,12 @@ impl fmt::Display for SimError {
             SimError::UnknownPort { direction, name } => {
                 write!(f, "no {direction} port named {name}")
             }
+            SimError::PortTooWide { port, bits } => {
+                write!(
+                    f,
+                    "port {port} is {bits} bits wide; u64 port values hold at most 64"
+                )
+            }
             SimError::TooManyLanes { given, max } => {
                 write!(
                     f,
@@ -109,17 +121,17 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-impl SimError {
-    /// Aborts with this error's display message.
-    ///
-    /// The panicking convenience wrappers (`Simulator::new`, `set`, `get`,
-    /// …) route through here so the fallible `try_*` entry points stay the
-    /// single source of truth for validation, and the legacy panic messages
-    /// stay byte-identical to what callers and tests already match on.
-    #[track_caller]
-    pub fn raise(self) -> ! {
-        panic!("{self}")
+/// Rejects ports too wide for the `u64` port-value APIs, where bit 64 and
+/// up would otherwise alias low bits (release) or overflow the shift
+/// (debug). Callers check once per port per call, never per lane.
+pub(crate) fn check_width(port: &str, bits: usize) -> Result<(), SimError> {
+    if bits > 64 {
+        return Err(SimError::PortTooWide {
+            port: port.to_string(),
+            bits,
+        });
     }
+    Ok(())
 }
 
 #[cfg(test)]

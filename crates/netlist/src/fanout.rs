@@ -184,6 +184,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::builder::NetlistBuilder;
+    use crate::error::SimError;
     use crate::sim::Simulator;
     use pdk::{CellLibrary, Technology};
 
@@ -220,18 +221,19 @@ mod tests {
     }
 
     #[test]
-    fn insertion_preserves_function() {
+    fn insertion_preserves_function() -> Result<(), SimError> {
         let m = fan_module(20);
         let repaired = insert_buffers(&m, 3);
-        let mut s0 = Simulator::new(&m);
-        let mut s1 = Simulator::new(&repaired);
+        let mut s0 = Simulator::try_new(&m)?;
+        let mut s1 = Simulator::try_new(&repaired)?;
         for v in 0..2u64 {
-            s0.set("x", v);
-            s1.set("x", v);
+            s0.try_set("x", v)?;
+            s1.try_set("x", v)?;
             s0.settle();
             s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "v={v}");
+            assert_eq!(s0.try_get("o")?, s1.try_get("o")?, "v={v}");
         }
+        Ok(())
     }
 
     #[test]
@@ -253,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_nets_are_buffered_too() {
+    fn sequential_nets_are_buffered_too() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("seqfan");
         let x = b.input("x", 1);
         let q = b.dff(x[0], false);
@@ -263,14 +265,15 @@ mod tests {
         let repaired = insert_buffers(&m, 2);
         assert!(max_fanout(&repaired) <= 2);
         // Behaviour across a clock edge is preserved.
-        let mut s0 = Simulator::new(&m);
-        let mut s1 = Simulator::new(&repaired);
-        s0.set("x", 1);
-        s1.set("x", 1);
+        let mut s0 = Simulator::try_new(&m)?;
+        let mut s1 = Simulator::try_new(&repaired)?;
+        s0.try_set("x", 1)?;
+        s1.try_set("x", 1)?;
         s0.step();
         s1.step();
         s0.settle();
         s1.settle();
-        assert_eq!(s0.get("o"), s1.get("o"));
+        assert_eq!(s0.try_get("o")?, s1.try_get("o")?);
+        Ok(())
     }
 }

@@ -91,9 +91,9 @@ pub fn fault_sites(module: &Module) -> Vec<Fault> {
 /// output ports) sees the stuck constant.
 ///
 /// This is the *reference* injection semantics. The production grading
-/// path ([`coverage`]) never clones: it pins the stuck net's lane word in
-/// place via [`crate::batch::BatchSimulator::inject_fault`], which the
-/// batch-simulator tests check against this function site-by-site.
+/// path ([`try_coverage`]) never clones: it pins the stuck net's lane word
+/// in place via [`WideSim::inject_fault`], which the compiled-kernel tests
+/// check against this function site-by-site.
 pub fn inject(module: &Module, fault: Fault) -> Module {
     let mut m = module.clone();
     let stuck = Signal::Const(fault.stuck_at);
@@ -146,19 +146,10 @@ const SITES_PER_SHARD: usize = 32;
 /// reassembled in site order, so the report does not depend on the
 /// thread count.
 ///
-/// # Panics
-/// Panics if the module is sequential (run the vectors through your own
-/// clocking harness instead) or a vector's arity is wrong. Use
-/// [`try_coverage`] to handle those as errors.
-pub fn coverage(module: &Module, vectors: &[Vec<u64>]) -> FaultCoverage {
-    match try_coverage(module, vectors) {
-        Ok(c) => c,
-        Err(e) => e.raise(),
-    }
-}
-
-/// Fallible [`coverage`]: reports sequential/invalid modules,
-/// combinational cycles and vector-arity mismatches as [`SimError`].
+/// # Errors
+/// Sequential or invalid modules (run sequential vectors through your
+/// own clocking harness instead), combinational cycles, vector-arity
+/// mismatches and ports wider than 64 bits are reported as [`SimError`].
 pub fn try_coverage(module: &Module, vectors: &[Vec<u64>]) -> Result<FaultCoverage, SimError> {
     let _span = obs::span("netlist.faults.coverage");
     if !module.is_combinational() {
@@ -180,44 +171,50 @@ pub fn try_coverage(module: &Module, vectors: &[Vec<u64>]) -> Result<FaultCovera
     // Pack every ≤256-vector chunk once and record the fault-free
     // response image; each fault replays the same images.
     let mut sim: WideSim<FAULT_W> = WideSim::new(Arc::clone(&compiled));
-    let chunks: Vec<(Vec<[u64; FAULT_W]>, usize)> = vectors
+    let chunks = vectors
         .chunks(WideSim::<FAULT_W>::LANES)
-        .map(|c| (sim.pack_vectors(c), c.len()))
-        .collect();
-    let good: Vec<Vec<u64>> = chunks
+        .map(|c| Ok((sim.try_pack_vectors(c)?, c.len())))
+        .collect::<Result<Vec<_>, SimError>>()?;
+    let good = chunks
         .iter()
         .map(|(image, lanes)| {
-            sim.load_packed(image);
+            sim.try_load_packed(image)?;
             sim.settle();
-            sim.output_words(*lanes)
+            Ok(sim.output_words(*lanes))
         })
-        .collect();
+        .collect::<Result<Vec<_>, SimError>>()?;
     record_settles(chunks.len() as u64, vectors.len() as u64);
 
     let sites = fault_sites(module);
     let shards: Vec<&[Fault]> = sites.chunks(SITES_PER_SHARD).collect();
-    let verdicts: Vec<Vec<bool>> = exec::parallel_map(&shards, |_, shard| {
+    let verdicts = exec::parallel_map(&shards, |_, shard| {
         let mut sim: WideSim<FAULT_W> = WideSim::new(Arc::clone(&compiled));
         let mut settles = 0u64;
         let mut lane_vectors = 0u64;
-        let out: Vec<bool> = shard
+        let out = shard
             .iter()
             .map(|&fault| {
                 sim.inject_fault(fault.net, fault.stuck_at);
-                // Fault dropping: `any` stops at the first detecting chunk.
-                chunks.iter().zip(&good).any(|((image, lanes), expected)| {
-                    sim.load_packed(image);
+                // Fault dropping: stop at the first detecting chunk.
+                for ((image, lanes), expected) in chunks.iter().zip(&good) {
+                    sim.try_load_packed(image)?;
                     sim.settle();
                     settles += 1;
                     lane_vectors += *lanes as u64;
-                    !sim.outputs_match(expected, *lanes)
-                })
+                    if !sim.outputs_match(expected, *lanes) {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
             })
-            .collect();
+            .collect::<Result<Vec<bool>, SimError>>();
         record_settles(settles, lane_vectors);
         out
     });
-    let verdicts: Vec<bool> = verdicts.concat();
+    let verdicts = verdicts
+        .into_iter()
+        .collect::<Result<Vec<_>, SimError>>()?
+        .concat();
     let detected = verdicts.iter().filter(|&&d| d).count();
     obs::counter_add("netlist.faults.sites", sites.len() as u64);
     obs::counter_add("netlist.faults.detected", detected as u64);
@@ -250,48 +247,51 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_vectors_catch_every_fault_in_irredundant_logic() {
+    fn exhaustive_vectors_catch_every_fault_in_irredundant_logic() -> Result<(), SimError> {
         let m = and_module();
         let vectors: Vec<Vec<u64>> = (0..4).map(|v| vec![v]).collect();
-        let c = coverage(&m, &vectors);
+        let c = try_coverage(&m, &vectors)?;
         assert_eq!(c.coverage(), 1.0, "undetected: {:?}", c.undetected);
         // 2 input bits + 1 gate output = 3 nets x 2 polarities.
         assert_eq!(c.total, 6);
+        Ok(())
     }
 
     #[test]
-    fn weak_vector_sets_miss_faults() {
+    fn weak_vector_sets_miss_faults() -> Result<(), SimError> {
         let m = and_module();
         // Only the all-zeros vector: a stuck-at-0 on the output is
         // indistinguishable.
-        let c = coverage(&m, &[vec![0]]);
+        let c = try_coverage(&m, &[vec![0]])?;
         assert!(c.coverage() < 1.0);
         assert!(c.undetected.contains(&Fault {
             net: m.gates[0].output,
             stuck_at: false
         }));
+        Ok(())
     }
 
     #[test]
-    fn injection_forces_readers_to_the_constant() {
+    fn injection_forces_readers_to_the_constant() -> Result<(), SimError> {
         let m = and_module();
         let f = Fault {
             net: m.inputs[0].bits[0].net().unwrap(),
             stuck_at: true,
         };
         let faulty = inject(&m, f);
-        let mut sim = Simulator::new(&faulty);
+        let mut sim = Simulator::try_new(&faulty)?;
         // x0 stuck at 1: output follows x1 regardless of driven x0.
-        sim.set("x", 0b10);
+        sim.try_set("x", 0b10)?;
         sim.settle();
-        assert_eq!(sim.get("y"), 1);
-        sim.set("x", 0b00);
+        assert_eq!(sim.try_get("y")?, 1);
+        sim.try_set("x", 0b00)?;
         sim.settle();
-        assert_eq!(sim.get("y"), 0);
+        assert_eq!(sim.try_get("y")?, 0);
+        Ok(())
     }
 
     #[test]
-    fn bespoke_tree_vectors_reach_high_coverage() {
+    fn bespoke_tree_vectors_reach_high_coverage() -> Result<(), SimError> {
         use crate::comb::unsigned_le;
         // A bespoke comparator node: walk all 16 codes; expect full
         // coverage of the folded logic.
@@ -302,7 +302,7 @@ mod tests {
         b.output("le", &[le]);
         let m = crate::opt::optimize(&b.finish());
         let vectors: Vec<Vec<u64>> = (0..16).map(|v| vec![v]).collect();
-        let c = coverage(&m, &vectors);
+        let c = try_coverage(&m, &vectors)?;
         // Exhaustive vectors detect every *detectable* fault; what remains
         // is structural redundancy the optimizer leaves behind (a real
         // property worth surfacing — redundant logic is untestable logic).
@@ -311,5 +311,6 @@ mod tests {
         // any of them never changes any exhaustive response (already
         // established by how they ended up in `undetected`).
         assert!(c.detected + c.undetected.len() == c.total);
+        Ok(())
     }
 }

@@ -15,9 +15,14 @@
 //!   synthesis optimization that makes *bespoke* classifiers small;
 //! * [`analysis`] — area / static power / critical-path reports against a
 //!   [`pdk::CellLibrary`];
-//! * [`sim`] — levelized functional simulation (combinational + clocked),
-//!   used to verify every generated classifier bit-for-bit against its
-//!   software model;
+//! * [`sim`] — levelized scalar simulation (combinational + clocked), the
+//!   independent reference every generated classifier is verified against
+//!   bit-for-bit;
+//! * [`compile`] — the compiled instruction tape and its lane-parallel
+//!   [`WideSim`] evaluator (64·W vectors per settle), the engine behind
+//!   [`verify`], [`faults`] and [`testbench`];
+//! * [`error`] — [`SimError`], the one error type of both engines' `try_*`
+//!   APIs;
 //! * [`verilog`] — structural Verilog emission.
 //!
 //! ```
@@ -40,7 +45,6 @@
 
 pub mod analysis;
 pub mod arith;
-pub mod batch;
 pub mod builder;
 pub mod comb;
 pub mod compile;
@@ -57,14 +61,11 @@ pub mod verify;
 pub mod verilog;
 
 pub use analysis::{analyze, Ppa};
-pub use batch::BatchSimulator;
 pub use builder::NetlistBuilder;
 pub use compile::{CompiledNetlist, WideSim};
 pub use error::SimError;
 pub use fanout::{fanout_histogram, insert_buffers, max_fanout};
-pub use faults::{
-    coverage as fault_coverage, try_coverage as try_fault_coverage, Fault, FaultCoverage,
-};
+pub use faults::{try_coverage as try_fault_coverage, Fault, FaultCoverage};
 pub use ir::{Gate, Module, NetId, Port, RomInstance, Signal};
 pub use opt::{cumulative_stats, optimize, optimize_with_stats, OptCumulative, OptStats};
 pub use sim::Simulator;

@@ -729,28 +729,38 @@ mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::comb::unsigned_le;
+    use crate::error::SimError;
     use crate::sim::Simulator;
     use pdk::Technology;
 
     /// Optimized and original modules must agree on every input we try.
-    fn assert_equivalent_exhaustive(original: &Module, optimized: &Module, width: usize) {
-        let mut s0 = Simulator::new(original);
-        let mut s1 = Simulator::new(optimized);
+    fn assert_equivalent_exhaustive(
+        original: &Module,
+        optimized: &Module,
+        width: usize,
+    ) -> Result<(), SimError> {
+        let mut s0 = Simulator::try_new(original)?;
+        let mut s1 = Simulator::try_new(optimized)?;
         let names: Vec<String> = original.inputs.iter().map(|p| p.name.clone()).collect();
         assert_eq!(names.len(), 1, "helper supports single-input modules");
         for v in 0..(1u64 << width) {
-            s0.set(&names[0], v);
-            s1.set(&names[0], v);
+            s0.try_set(&names[0], v)?;
+            s1.try_set(&names[0], v)?;
             s0.settle();
             s1.settle();
             for port in &original.outputs {
-                assert_eq!(s0.get(&port.name), s1.get(&port.name), "input {v}");
+                assert_eq!(
+                    s0.try_get(&port.name)?,
+                    s1.try_get(&port.name)?,
+                    "input {v}"
+                );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn constant_comparator_shrinks_but_stays_correct() {
+    fn constant_comparator_shrinks_but_stays_correct() -> Result<(), SimError> {
         // The bespoke decision-tree node: x <= 102 with 8-bit x.
         let mut b = NetlistBuilder::new("node");
         let x = b.input("x", 8);
@@ -765,7 +775,8 @@ mod tests {
             original.gate_count(),
             optimized.gate_count()
         );
-        assert_equivalent_exhaustive(&original, &optimized, 8);
+        assert_equivalent_exhaustive(&original, &optimized, 8)?;
+        Ok(())
     }
 
     #[test]
@@ -859,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn mux_collapses() {
+    fn mux_collapses() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x", 2);
         let s = x[0];
@@ -872,7 +883,8 @@ mod tests {
         let original = b.finish();
         let optimized = optimize(&original);
         assert!(optimized.gates_of(CellKind::Mux2).count() == 0);
-        assert_equivalent_exhaustive(&original, &optimized, 2);
+        assert_equivalent_exhaustive(&original, &optimized, 2)?;
+        Ok(())
     }
 
     #[test]
@@ -890,7 +902,7 @@ mod tests {
     }
 
     #[test]
-    fn variable_comparator_only_loses_its_seed_carry() {
+    fn variable_comparator_only_loses_its_seed_carry() -> Result<(), SimError> {
         // A comparator over two register-fed (variable) operands keeps its
         // per-bit structure; only the constant-zero seed carry of the first
         // ripple stage folds. This is the conventional-architecture case.
@@ -902,7 +914,8 @@ mod tests {
         let original = b.finish();
         let optimized = optimize(&original);
         assert!(optimized.gate_count() >= original.gate_count() - 4);
-        assert_equivalent_exhaustive(&original, &optimized, 8);
+        assert_equivalent_exhaustive(&original, &optimized, 8)?;
+        Ok(())
     }
 
     #[test]
@@ -952,6 +965,7 @@ mod absorption_tests {
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::comb::unsigned_le;
+    use crate::error::SimError;
     use crate::sim::Simulator;
 
     #[test]
@@ -978,7 +992,7 @@ mod absorption_tests {
     }
 
     #[test]
-    fn redundancy_folds_a_or_nota_and_b() {
+    fn redundancy_folds_a_or_nota_and_b() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x", 2);
         let na = b.not(x[0]);
@@ -990,19 +1004,20 @@ mod absorption_tests {
         // One OR gate should remain (the inverter and AND die).
         assert_eq!(optimized.gate_count(), 1);
         assert_eq!(optimized.gates[0].kind, CellKind::Or2);
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
+        let mut s0 = Simulator::try_new(&original)?;
+        let mut s1 = Simulator::try_new(&optimized)?;
         for v in 0..4u64 {
-            s0.set("x", v);
-            s1.set("x", v);
+            s0.try_set("x", v)?;
+            s1.try_set("x", v)?;
             s0.settle();
             s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "v={v}");
+            assert_eq!(s0.try_get("o")?, s1.try_get("o")?, "v={v}");
         }
+        Ok(())
     }
 
     #[test]
-    fn redundancy_folds_a_and_nota_or_b() {
+    fn redundancy_folds_a_and_nota_or_b() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x", 2);
         let na = b.not(x[0]);
@@ -1013,19 +1028,20 @@ mod absorption_tests {
         let optimized = optimize(&original);
         assert_eq!(optimized.gate_count(), 1);
         assert_eq!(optimized.gates[0].kind, CellKind::And2);
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
+        let mut s0 = Simulator::try_new(&original)?;
+        let mut s1 = Simulator::try_new(&optimized)?;
         for v in 0..4u64 {
-            s0.set("x", v);
-            s1.set("x", v);
+            s0.try_set("x", v)?;
+            s1.try_set("x", v)?;
             s0.settle();
             s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "v={v}");
+            assert_eq!(s0.try_get("o")?, s1.try_get("o")?, "v={v}");
         }
+        Ok(())
     }
 
     #[test]
-    fn constant_comparator_shrinks_further_with_redundancy() {
+    fn constant_comparator_shrinks_further_with_redundancy() -> Result<(), SimError> {
         // The bespoke tree node again: the τ-bit-0 per-bit logic is
         // exactly the a | (!a & p) shape the redundancy rule targets.
         let mut b = NetlistBuilder::new("node");
@@ -1044,14 +1060,15 @@ mod absorption_tests {
             optimized.gate_count()
         );
         // Equivalence on every input.
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
+        let mut s0 = Simulator::try_new(&original)?;
+        let mut s1 = Simulator::try_new(&optimized)?;
         for v in 0..256u64 {
-            s0.set("x", v);
-            s1.set("x", v);
+            s0.try_set("x", v)?;
+            s1.try_set("x", v)?;
             s0.settle();
             s1.settle();
-            assert_eq!(s0.get("le"), s1.get("le"), "v={v}");
+            assert_eq!(s0.try_get("le")?, s1.try_get("le")?, "v={v}");
         }
+        Ok(())
     }
 }

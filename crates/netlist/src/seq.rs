@@ -44,53 +44,56 @@ pub fn register_en(b: &mut NetlistBuilder, d: &[Signal], en: Signal, init: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::sim::Simulator;
 
     #[test]
-    fn shift_register_walks() {
+    fn shift_register_walks() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let d = b.input("d", 1);
         let q = shift_register(&mut b, d[0], 4, 0b0001);
         b.output("q", &q);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
-        sim.set("d", 1);
+        let mut sim = Simulator::try_new(&m)?;
+        sim.try_set("d", 1)?;
         sim.settle();
-        assert_eq!(sim.get("q"), 0b0001);
+        assert_eq!(sim.try_get("q")?, 0b0001);
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 0b0011); // 1 shifted in, old bits moved up
-        sim.set("d", 0);
+        assert_eq!(sim.try_get("q")?, 0b0011); // 1 shifted in, old bits moved up
+        sim.try_set("d", 0)?;
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 0b0110);
+        assert_eq!(sim.try_get("q")?, 0b0110);
+        Ok(())
     }
 
     #[test]
-    fn enable_register_holds_and_loads() {
+    fn enable_register_holds_and_loads() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("t");
         let d = b.input("d", 4);
         let en = b.input("en", 1);
         let q = register_en(&mut b, &d, en[0], 0);
         b.output("q", &q);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         // en=1 loads d (mux select 1 -> d input).
-        sim.set("d", 9);
-        sim.set("en", 1);
+        sim.try_set("d", 9)?;
+        sim.try_set("en", 1)?;
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 9);
+        assert_eq!(sim.try_get("q")?, 9);
         // en=0 holds.
-        sim.set("d", 3);
-        sim.set("en", 0);
+        sim.try_set("d", 3)?;
+        sim.try_set("en", 0)?;
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 9);
+        assert_eq!(sim.try_get("q")?, 9);
         // en=1 loads again.
-        sim.set("en", 1);
+        sim.try_set("en", 1)?;
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 3);
+        assert_eq!(sim.try_get("q")?, 3);
+        Ok(())
     }
 }

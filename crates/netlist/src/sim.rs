@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use pdk::CellKind;
 
-use crate::error::SimError;
+use crate::error::{check_width, SimError};
 use crate::ir::{Module, NetId, Signal};
 
 /// What drives a net.
@@ -48,10 +48,11 @@ enum EvalItem {
 /// b.output("y", &[y]);
 /// let m = b.finish();
 ///
-/// let mut sim = Simulator::new(&m);
-/// sim.set("x", 0b10);
+/// let mut sim = Simulator::try_new(&m)?;
+/// sim.try_set("x", 0b10)?;
 /// sim.settle();
-/// assert_eq!(sim.get("y"), 1);
+/// assert_eq!(sim.try_get("y")?, 1);
+/// # Ok::<(), netlist::SimError>(())
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'m> {
@@ -64,21 +65,9 @@ pub struct Simulator<'m> {
 }
 
 impl<'m> Simulator<'m> {
-    /// Levelizes `module` and initializes flip-flops to their `init` values.
-    ///
-    /// # Panics
-    /// Panics if the module contains a combinational cycle or fails
-    /// validation. Use [`Simulator::try_new`] to handle those as errors.
-    pub fn new(module: &'m Module) -> Self {
-        match Self::try_new(module) {
-            Ok(sim) => sim,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible constructor: levelizes `module`, reporting validation
-    /// failures and combinational cycles as [`SimError`] instead of
-    /// panicking.
+    /// Levelizes `module` and initializes flip-flops to their `init`
+    /// values, reporting validation failures and combinational cycles as
+    /// [`SimError`].
     pub fn try_new(module: &'m Module) -> Result<Self, SimError> {
         module
             .validate()
@@ -210,19 +199,9 @@ impl<'m> Simulator<'m> {
         })
     }
 
-    /// Drives input port `name` with the little-endian bits of `value`.
-    ///
-    /// # Panics
-    /// Panics if the port does not exist. Use [`Simulator::try_set`] to
-    /// handle the unknown-port case as an error.
-    pub fn set(&mut self, name: &str, value: u64) {
-        if let Err(e) = self.try_set(name, value) {
-            e.raise()
-        }
-    }
-
-    /// Fallible port binding: drives input port `name`, reporting an
-    /// unknown name as [`SimError::UnknownPort`].
+    /// Drives input port `name` with the little-endian bits of `value`,
+    /// reporting an unknown name as [`SimError::UnknownPort`] and a port
+    /// wider than 64 bits as [`SimError::PortTooWide`].
     pub fn try_set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
         let Some(nets) = self.input_ports.get(name) else {
             return Err(SimError::UnknownPort {
@@ -230,7 +209,7 @@ impl<'m> Simulator<'m> {
                 name: name.to_string(),
             });
         };
-        let nets = nets.clone();
+        check_width(name, nets.len())?;
         for (i, net) in nets.iter().enumerate() {
             self.values[net.index()] = (value >> i) & 1 == 1;
         }
@@ -290,20 +269,9 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Reads output port `name` as a little-endian word.
-    ///
-    /// # Panics
-    /// Panics if the port does not exist. Use [`Simulator::try_get`] to
-    /// handle the unknown-port case as an error.
-    pub fn get(&self, name: &str) -> u64 {
-        match self.try_get(name) {
-            Ok(v) => v,
-            Err(e) => e.raise(),
-        }
-    }
-
-    /// Fallible port read: reports an unknown output name as
-    /// [`SimError::UnknownPort`].
+    /// Reads output port `name` as a little-endian word, reporting an
+    /// unknown name as [`SimError::UnknownPort`] and a port wider than 64
+    /// bits as [`SimError::PortTooWide`].
     pub fn try_get(&self, name: &str) -> Result<u64, SimError> {
         let Some(port) = self.module.output(name) else {
             return Err(SimError::UnknownPort {
@@ -311,6 +279,7 @@ impl<'m> Simulator<'m> {
                 name: name.to_string(),
             });
         };
+        check_width(name, port.bits.len())?;
         let mut v = 0u64;
         for (i, sig) in port.bits.iter().enumerate() {
             if self.read(*sig) {
@@ -361,7 +330,7 @@ mod tests {
     use pdk::rom::RomStyle;
 
     #[test]
-    fn all_gate_functions() {
+    fn all_gate_functions() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("gates");
         let x = b.input("x", 2);
         let outs = vec![
@@ -376,9 +345,9 @@ mod tests {
         ];
         b.output("o", &outs);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for v in 0..4u64 {
-            sim.set("x", v);
+            sim.try_set("x", v)?;
             sim.settle();
             let (a, bb) = (v & 1 == 1, v & 2 == 2);
             let expect = [
@@ -392,44 +361,47 @@ mod tests {
                 !(a ^ bb),
             ];
             for (i, e) in expect.into_iter().enumerate() {
-                assert_eq!((sim.get("o") >> i) & 1 == 1, e, "v={v} out={i}");
+                assert_eq!((sim.try_get("o")? >> i) & 1 == 1, e, "v={v} out={i}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn mux_selects() {
+    fn mux_selects() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("mux");
         let x = b.input("x", 3); // sel, a, b
         let o = b.mux(x[0], x[1], x[2]);
         b.output("o", &[o]);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for v in 0..8u64 {
-            sim.set("x", v);
+            sim.try_set("x", v)?;
             sim.settle();
             let (sel, a, bb) = (v & 1 == 1, v & 2 == 2, v & 4 == 4);
-            assert_eq!(sim.get("o") == 1, if sel { bb } else { a });
+            assert_eq!(sim.try_get("o")? == 1, if sel { bb } else { a });
         }
+        Ok(())
     }
 
     #[test]
-    fn rom_reads_and_out_of_range_is_zero() {
+    fn rom_reads_and_out_of_range_is_zero() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("rom");
         let addr = b.input("a", 2);
         let data = b.rom(&addr, vec![5, 9, 14], 4, RomStyle::Crossbar);
         b.output("d", &data);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
+        let mut sim = Simulator::try_new(&m)?;
         for (a, want) in [(0u64, 5u64), (1, 9), (2, 14), (3, 0)] {
-            sim.set("a", a);
+            sim.try_set("a", a)?;
             sim.settle();
-            assert_eq!(sim.get("d"), want);
+            assert_eq!(sim.try_get("d")?, want);
         }
+        Ok(())
     }
 
     #[test]
-    fn shift_register_walks_a_one() {
+    fn shift_register_walks_a_one() -> Result<(), SimError> {
         // The serial decision tree's node pointer: a shift register seeded
         // with 1 that shifts the comparison result in at the LSB.
         let mut b = NetlistBuilder::new("shift");
@@ -439,49 +411,24 @@ mod tests {
         let q2 = b.dff(q1, false);
         b.output("q", &[q0, q1, q2]);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
-        sim.set("d", 0);
+        let mut sim = Simulator::try_new(&m)?;
+        sim.try_set("d", 0)?;
         sim.settle();
-        assert_eq!(sim.get("q"), 0b001);
+        assert_eq!(sim.try_get("q")?, 0b001);
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 0b010);
+        assert_eq!(sim.try_get("q")?, 0b010);
         sim.step();
         sim.settle();
-        assert_eq!(sim.get("q"), 0b100);
+        assert_eq!(sim.try_get("q")?, 0b100);
         sim.reset();
         sim.settle();
-        assert_eq!(sim.get("q"), 0b001);
-    }
-
-    #[test]
-    #[should_panic(expected = "combinational cycle")]
-    fn cycles_are_rejected() {
-        // Hand-assemble a cycle: two inverters in a ring.
-        use crate::ir::{Gate, Module, NetId, Signal};
-        use pdk::CellKind;
-        let mut m = Module::new("ring");
-        m.net_count = 2;
-        m.gates.push(Gate {
-            kind: CellKind::Inv,
-            inputs: vec![Signal::Net(NetId(1))],
-            output: NetId(0),
-            init: false,
-            region: 0,
-        });
-        m.gates.push(Gate {
-            kind: CellKind::Inv,
-            inputs: vec![Signal::Net(NetId(0))],
-            output: NetId(1),
-            init: false,
-            region: 0,
-        });
-        let _ = Simulator::new(&m);
+        assert_eq!(sim.try_get("q")?, 0b001);
+        Ok(())
     }
 
     #[test]
     fn try_apis_report_errors_instead_of_panicking() {
-        use crate::error::SimError;
         use crate::ir::{Gate, Module, NetId, Signal};
         use pdk::CellKind;
         let mut m = Module::new("ring");
@@ -526,7 +473,30 @@ mod tests {
     }
 
     #[test]
-    fn deep_ripple_chains_do_not_overflow_the_stack() {
+    fn ports_wider_than_64_bits_are_rejected() -> Result<(), SimError> {
+        // Bit 64 of a u64 value does not exist: driving it would alias
+        // bit 0 in release and overflow the shift in debug.
+        let mut b = NetlistBuilder::new("wide");
+        let x = b.input("x", 65);
+        let y = b.input("y", 1);
+        b.output("o", &x);
+        b.output("p", &y);
+        let m = b.finish();
+        let mut sim = Simulator::try_new(&m)?;
+        let too_wide = |port: &str| SimError::PortTooWide {
+            port: port.into(),
+            bits: 65,
+        };
+        assert_eq!(sim.try_set("x", 1), Err(too_wide("x")));
+        assert_eq!(sim.try_get("o"), Err(too_wide("o")));
+        sim.try_set("y", 1)?;
+        sim.settle();
+        assert_eq!(sim.try_get("p")?, 1);
+        Ok(())
+    }
+
+    #[test]
+    fn deep_ripple_chains_do_not_overflow_the_stack() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("deep");
         let x = b.input("x", 1);
         let mut s = x[0];
@@ -535,9 +505,10 @@ mod tests {
         }
         b.output("o", &[s]);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
-        sim.set("x", 1);
+        let mut sim = Simulator::try_new(&m)?;
+        sim.try_set("x", 1)?;
         sim.settle();
-        assert_eq!(sim.get("o"), 1); // even number of inversions
+        assert_eq!(sim.try_get("o")?, 1); // even number of inversions
+        Ok(())
     }
 }

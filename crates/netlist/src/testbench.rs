@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::compile::{CompiledNetlist, WideSim};
+use crate::error::SimError;
 use crate::ir::Module;
 use crate::sim::Simulator;
 use crate::verilog::to_verilog;
@@ -29,34 +30,41 @@ pub type Vector = Vec<u64>;
 /// kernel (256 vectors per settle), sequential ones are stepped through
 /// the scalar [`Simulator`].
 ///
-/// # Panics
-/// Panics if any vector's length differs from the module's input count.
-pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usize) -> String {
+/// # Errors
+/// A vector whose length differs from the module's input count is
+/// reported as [`SimError::VectorArity`]; a module either engine rejects
+/// (invalid, cyclic, ports wider than 64 bits) as that engine's
+/// [`SimError`].
+pub fn to_testbench(
+    module: &Module,
+    vectors: &[Vector],
+    cycles_per_vector: usize,
+) -> Result<String, SimError> {
     let mut out = to_verilog(module);
     let sequential = !module.is_combinational();
-    for (vi, vector) in vectors.iter().enumerate() {
-        assert_eq!(
-            vector.len(),
-            module.inputs.len(),
-            "vector {vi} has {} values for {} inputs",
-            vector.len(),
-            module.inputs.len()
-        );
+    for (index, vector) in vectors.iter().enumerate() {
+        if vector.len() != module.inputs.len() {
+            return Err(SimError::VectorArity {
+                index,
+                got: vector.len(),
+                want: module.inputs.len(),
+            });
+        }
     }
     // Expected outputs for combinational modules, one row per vector
     // (values per output port), computed 256 lanes at a time.
     let mut expected_rows: Vec<Vec<u64>> = Vec::with_capacity(vectors.len());
     if !sequential {
-        let mut sim: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::compile(module)));
+        let mut sim: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::try_compile(module)?));
         for chunk in vectors.chunks(WideSim::<4>::LANES) {
-            let image = sim.pack_vectors(chunk);
-            sim.load_packed(&image);
+            let image = sim.try_pack_vectors(chunk)?;
+            sim.try_load_packed(&image)?;
             sim.settle();
-            let per_port: Vec<Vec<u64>> = module
+            let per_port = module
                 .outputs
                 .iter()
-                .map(|p| sim.lanes(&p.name, chunk.len()))
-                .collect();
+                .map(|p| sim.try_lanes(&p.name, chunk.len()))
+                .collect::<Result<Vec<_>, SimError>>()?;
             for lane in 0..chunk.len() {
                 expected_rows.push(per_port.iter().map(|col| col[lane]).collect());
             }
@@ -66,7 +74,7 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
             vectors.len() as u64,
         );
     }
-    let mut sim = sequential.then(|| Simulator::new(module));
+    let mut sim = sequential.then(|| Simulator::try_new(module)).transpose()?;
 
     let _ = writeln!(out, "\nmodule tb;");
     if sequential {
@@ -119,7 +127,7 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
         }
         for (p, &v) in module.inputs.iter().zip(vector) {
             if let Some(sim) = sim.as_mut() {
-                sim.set(&p.name, v);
+                sim.try_set(&p.name, v)?;
             }
             let _ = writeln!(out, "    {} = {}'d{};", p.name, p.width(), v);
         }
@@ -142,7 +150,7 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
         }
         for (oi, p) in module.outputs.iter().enumerate() {
             let expect = match sim.as_mut() {
-                Some(sim) => sim.get(&p.name),
+                Some(sim) => sim.try_get(&p.name)?,
                 None => expected_rows[vi][oi],
             };
             let _ = writeln!(
@@ -162,7 +170,7 @@ pub fn to_testbench(module: &Module, vectors: &[Vector], cycles_per_vector: usiz
     let _ = writeln!(out, "    $finish;");
     let _ = writeln!(out, "  end");
     let _ = writeln!(out, "endmodule");
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -171,14 +179,14 @@ mod tests {
     use crate::builder::NetlistBuilder;
 
     #[test]
-    fn combinational_testbench_embeds_expected_values() {
+    fn combinational_testbench_embeds_expected_values() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("adder");
         let x = b.input("x", 3);
         let y = b.input("y", 3);
         let s = crate::arith::add(&mut b, &x, &y);
         b.output("s", &s);
         let m = b.finish();
-        let tb = to_testbench(&m, &[vec![3, 4], vec![7, 7]], 1);
+        let tb = to_testbench(&m, &[vec![3, 4], vec![7, 7]], 1)?;
         assert!(tb.contains("module tb;"));
         assert!(tb.contains("4'd7"), "3+4 expectation missing:\n{tb}");
         assert!(tb.contains("4'd14"), "7+7 expectation missing");
@@ -187,28 +195,36 @@ mod tests {
             !tb.contains("clk"),
             "combinational testbench needs no clock"
         );
+        Ok(())
     }
 
     #[test]
-    fn sequential_testbench_pulses_the_clock() {
+    fn sequential_testbench_pulses_the_clock() -> Result<(), SimError> {
         let mut b = NetlistBuilder::new("reg");
         let d = b.input("d", 2);
         let q = b.register(&d, 0);
         b.output("q", &q);
         let m = b.finish();
-        let tb = to_testbench(&m, &[vec![2]], 1);
+        let tb = to_testbench(&m, &[vec![2]], 1)?;
         assert!(tb.contains("always #5 clk = ~clk;"));
         assert!(tb.contains("repeat (1) @(posedge clk);"));
         assert!(tb.contains("2'd2"));
+        Ok(())
     }
 
     #[test]
-    #[should_panic(expected = "vector 0 has")]
     fn wrong_arity_vectors_are_rejected() {
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x", 1);
         b.output("o", &[x[0]]);
         let m = b.finish();
-        let _ = to_testbench(&m, &[vec![1, 2]], 1);
+        assert_eq!(
+            to_testbench(&m, &[vec![1], vec![1, 2]], 1),
+            Err(SimError::VectorArity {
+                index: 1,
+                got: 2,
+                want: 1
+            })
+        );
     }
 }

@@ -18,7 +18,7 @@
 use printed_ml::analog::{digital_tree_transients, two_level_tree_transients, MultiLevelRom};
 use printed_ml::core::bespoke::bespoke_parallel;
 use printed_ml::ml::quant::{QNode, QuantizedTree};
-use printed_ml::netlist::Simulator;
+use printed_ml::netlist::{SimError, Simulator};
 
 /// Hand-built 2-bit full depth-2 tree mirroring the fabricated prototype:
 /// root tests x1, both split nodes test x2; thresholds at the 2-bit
@@ -56,7 +56,7 @@ fn prototype_tree() -> QuantizedTree {
     qt
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("== prototype 1: bespoke digital depth-2 decision tree (§IV-C) ==\n");
     let qt = prototype_tree();
     if let QNode::Split {
@@ -71,14 +71,14 @@ fn main() {
         module.gate_count(),
         module.transistor_count()
     );
-    let mut sim = Simulator::new(&module);
+    let mut sim = Simulator::try_new(&module)?;
     println!("x1 x2 | C1 C2 C3 C4   (exactly one class line active)");
     for x1 in 0..4u64 {
         for x2 in 0..4u64 {
-            sim.set("f0", x1);
-            sim.set("f1", x2);
+            sim.try_set("f0", x1)?;
+            sim.try_set("f1", x2)?;
             sim.settle();
-            let class = sim.get("class");
+            let class = sim.try_get("class")?;
             let onehot: Vec<&str> = (0..4)
                 .map(|c| if c == class { " 1" } else { " 0" })
                 .collect();
@@ -89,10 +89,10 @@ fn main() {
     println!("fully functional: hardware matches the trained tree on all 16 inputs");
 
     // Scope-style transient of one input step (Fig. 5, right panel).
-    sim.set("f0", 0);
-    sim.set("f1", 3);
+    sim.try_set("f0", 0)?;
+    sim.try_set("f1", 3)?;
     sim.settle();
-    let class = sim.get("class");
+    let class = sim.try_get("class")?;
     let mut levels = [false; 4];
     levels[class as usize] = true;
     let traces = digital_tree_transients(levels, 12e-3, 120);
@@ -157,4 +157,5 @@ fn main() {
         margin * 1e3
     );
     assert!(margin > 0.405);
+    Ok(())
 }

@@ -12,10 +12,10 @@
 
 use printed_ml::core::flow::{TreeArch, TreeFlow};
 use printed_ml::ml::synth::Application;
-use printed_ml::netlist::{to_verilog, Simulator};
+use printed_ml::netlist::{to_verilog, SimError, Simulator};
 use printed_ml::pdk::Technology;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("== printed-ml quickstart: cardiotocography monitor ==\n");
 
     // 1. Train + quantize (70/30 split, standardized features, §IV-A
@@ -37,16 +37,16 @@ fn main() {
     let module = flow
         .module(TreeArch::BespokeParallel)
         .expect("digital design");
-    let mut sim = Simulator::new(&module);
+    let mut sim = Simulator::try_new(&module)?;
     let used = flow.qt.used_features();
     let mut agree = 0usize;
     for row in &flow.test.x {
         let codes = flow.fq.code_row(row);
         for (slot, &f) in used.iter().enumerate() {
-            sim.set(&format!("f{slot}"), codes[f]);
+            sim.try_set(&format!("f{slot}"), codes[f])?;
         }
         sim.settle();
-        agree += (sim.get("class") as usize == flow.qt.predict(&codes)) as usize;
+        agree += (sim.try_get("class")? as usize == flow.qt.predict(&codes)) as usize;
     }
     println!(
         "netlist vs software model: {}/{} test rows agree ({} gates)\n",
@@ -77,4 +77,5 @@ fn main() {
         "\nstructural Verilog ({} lines), head:\n{preview}",
         verilog.lines().count()
     );
+    Ok(())
 }

@@ -14,10 +14,10 @@ use printed_ml::analog::analyze_tree_variation;
 use printed_ml::core::flow::{TreeArch, TreeFlow};
 use printed_ml::ml::metrics::accuracy;
 use printed_ml::ml::synth::Application;
-use printed_ml::netlist::{analyze, fault_coverage, max_logic_levels};
+use printed_ml::netlist::{analyze, max_logic_levels, try_fault_coverage, SimError};
 use printed_ml::pdk::{classify, CellLibrary, Technology};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "har".into());
     let app = Application::ALL
         .into_iter()
@@ -84,7 +84,7 @@ fn main() {
             used.iter().map(|&f| codes[f]).collect()
         })
         .collect();
-    let cov = fault_coverage(&module, &vectors);
+    let cov = try_fault_coverage(&module, &vectors)?;
     println!(
         "   {} vectors detect {}/{} faults ({:.0}%) — augment with structural \
          patterns before shipping",
@@ -112,4 +112,5 @@ fn main() {
         p1.power,
         classify(p1.power).source_name()
     );
+    Ok(())
 }

@@ -15,10 +15,10 @@
 use printed_ml::core::flow::{TreeArch, TreeFlow};
 use printed_ml::core::LookupConfig;
 use printed_ml::ml::synth::Application;
-use printed_ml::netlist::Simulator;
+use printed_ml::netlist::{SimError, Simulator};
 use printed_ml::pdk::Technology;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("== smart wound dressing: tree architecture tradeoffs ==\n");
 
     // Cardiotocography stands in for the dressing's multi-sensor readout
@@ -55,12 +55,12 @@ fn main() {
     let module = flow
         .module(TreeArch::BespokeSerial)
         .expect("digital design");
-    let mut sim = Simulator::new(&module);
+    let mut sim = Simulator::try_new(&module)?;
     let row = &flow.test.x[0];
     let codes = flow.fq.code_row(row);
     sim.reset();
     for (slot, &f) in flow.qt.used_features().iter().enumerate() {
-        sim.set(&format!("f{slot}"), codes[f]);
+        sim.try_set(&format!("f{slot}"), codes[f])?;
     }
     println!("serial engine trace (one inference):");
     for cycle in 0..flow.qt.depth().max(1) {
@@ -69,12 +69,13 @@ fn main() {
         println!(
             "  cycle {:>2}: done={} class-so-far={}",
             cycle + 1,
-            sim.get("done"),
-            sim.get("class")
+            sim.try_get("done")?,
+            sim.try_get("class")?
         );
     }
-    let hw = sim.get("class") as usize;
+    let hw = sim.try_get("class")? as usize;
     let sw = flow.qt.predict(&codes);
     println!("hardware says class {hw}, software model says {sw}");
     assert_eq!(hw, sw);
+    Ok(())
 }

@@ -276,8 +276,9 @@ fn run() -> Result<(), String> {
                                     .collect()
                             })
                             .collect();
-                        std::fs::write(path, to_testbench(&module, &vectors, depth.max(1)))
-                            .map_err(|e| format!("writing {path}: {e}"))?;
+                        let tb = to_testbench(&module, &vectors, depth.max(1))
+                            .map_err(|e| format!("simulating {}: {e}", module.name))?;
+                        std::fs::write(path, tb).map_err(|e| format!("writing {path}: {e}"))?;
                         println!("wrote {path}");
                     }
                     Ok(())

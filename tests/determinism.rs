@@ -34,7 +34,7 @@ fn variation_sweep_is_identical_at_any_thread_count() {
 }
 
 #[test]
-fn fault_coverage_is_identical_at_any_thread_count() {
+fn fault_coverage_is_identical_at_any_thread_count() -> Result<(), netlist::SimError> {
     use printed_ml::core::flow::{TreeArch, TreeFlow};
     let flow = TreeFlow::new(Application::Cardio, 4, 7);
     let module = flow
@@ -51,11 +51,12 @@ fn fault_coverage_is_identical_at_any_thread_count() {
             used.iter().map(|&f| codes[f]).collect()
         })
         .collect();
-    let run = || netlist::fault_coverage(&module, &vectors);
-    let serial = with_threads(1, run);
-    let four = with_threads(4, run);
-    let many = with_threads(16, run);
+    let run = || netlist::try_fault_coverage(&module, &vectors);
+    let serial = with_threads(1, run)?;
+    let four = with_threads(4, run)?;
+    let many = with_threads(16, run)?;
     assert_eq!(serial, four);
     assert_eq!(serial, many);
     assert_eq!(serial.detected + serial.undetected.len(), serial.total);
+    Ok(())
 }

@@ -33,7 +33,7 @@ impl Drop for EnableGuard {
 
 /// One representative slice of the pipeline: train + quantize + generate
 /// (TreeFlow), then grade fault coverage — exercising CART fits, the
-/// optimizer, the batch simulator and the exec pool.
+/// optimizer, the compiled simulation tape and the exec pool.
 fn pipeline_run() -> (usize, usize, Vec<netlist::Fault>) {
     let flow = TreeFlow::new(Application::Cardio, 4, 7);
     let module = flow.module(TreeArch::BespokeParallel).expect("digital");
@@ -48,7 +48,7 @@ fn pipeline_run() -> (usize, usize, Vec<netlist::Fault>) {
             used.iter().map(|&f| codes[f]).collect()
         })
         .collect();
-    let cov = netlist::fault_coverage(&module, &vectors);
+    let cov = netlist::try_fault_coverage(&module, &vectors).expect("combinational tree");
     (cov.total, cov.detected, cov.undetected)
 }
 

@@ -22,15 +22,29 @@ use printed_ml::ml::{Dataset, SvmRegressor};
 use printed_ml::netlist::arith::const_multiply;
 use printed_ml::netlist::builder::NetlistBuilder;
 use printed_ml::netlist::ir::Signal;
-use printed_ml::netlist::{optimize, Simulator};
+use printed_ml::netlist::{optimize, SimError, Simulator};
 use printed_ml::pdk::CellKind;
 
-/// Runs `check` on `cases` deterministic pseudo-random cases.
-fn cases(root: u64, count: u64, mut check: impl FnMut(u64, &mut StdRng)) {
+/// Runs `check` on `cases` deterministic pseudo-random cases; a
+/// simulator error fails the property with its case index.
+fn cases(root: u64, count: u64, mut check: impl FnMut(u64, &mut StdRng) -> Result<(), SimError>) {
     for i in 0..count {
         let mut rng = StdRng::seed_from_u64(task_seed(root, i));
-        check(i, &mut rng);
+        if let Err(e) = check(i, &mut rng) {
+            panic!("case {i}: {e}");
+        }
     }
+}
+
+/// Scalar reference responses of output `o` to values on input `x`.
+fn scalar_responses(scalar: &mut Simulator, xs: &[u64]) -> Result<Vec<u64>, SimError> {
+    xs.iter()
+        .map(|&x| {
+            scalar.try_set("x", x)?;
+            scalar.settle();
+            scalar.try_get("o")
+        })
+        .collect()
 }
 
 /// A small random labelled dataset (2-4 features, 2-4 classes).
@@ -88,7 +102,7 @@ fn random_circuit(
 }
 
 #[test]
-fn bespoke_parallel_equals_model_on_random_datasets() {
+fn bespoke_parallel_equals_model_on_random_datasets() -> Result<(), SimError> {
     cases(0xB15_0001, 24, |case, rng| {
         let data = random_dataset(rng);
         let depth = rng.gen_range(1usize..=4);
@@ -97,21 +111,27 @@ fn bespoke_parallel_equals_model_on_random_datasets() {
         let fq = FeatureQuantizer::fit(&data, bits);
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let module = bespoke_parallel(&qt);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let used = qt.used_features();
         for row in data.x.iter().take(30) {
             let codes = fq.code_row(row);
             for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
+                sim.try_set(&format!("f{slot}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes), "case {case}");
+            assert_eq!(
+                sim.try_get("class")? as usize,
+                qt.predict(&codes),
+                "case {case}"
+            );
         }
+        Ok(())
     });
+    Ok(())
 }
 
 #[test]
-fn lookup_tree_equals_model_on_random_datasets() {
+fn lookup_tree_equals_model_on_random_datasets() -> Result<(), SimError> {
     cases(0xB15_0002, 24, |case, rng| {
         let data = random_dataset(rng);
         let depth = rng.gen_range(1usize..=4);
@@ -119,41 +139,53 @@ fn lookup_tree_equals_model_on_random_datasets() {
         let fq = FeatureQuantizer::fit(&data, 4);
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let module = lookup_parallel(&qt, LookupConfig::optimized());
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         let used = qt.used_features();
         for row in data.x.iter().take(30) {
             let codes = fq.code_row(row);
             for (slot, &f) in used.iter().enumerate() {
-                sim.set(&format!("f{slot}"), codes[f]);
+                sim.try_set(&format!("f{slot}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qt.predict(&codes), "case {case}");
+            assert_eq!(
+                sim.try_get("class")? as usize,
+                qt.predict(&codes),
+                "case {case}"
+            );
         }
+        Ok(())
     });
+    Ok(())
 }
 
 #[test]
-fn bespoke_svm_equals_model_on_random_datasets() {
+fn bespoke_svm_equals_model_on_random_datasets() -> Result<(), SimError> {
     cases(0xB15_0003, 24, |case, rng| {
         let data = random_dataset(rng);
         let svm = SvmRegressor::fit(&data, 60, 1e-3);
         let fq = FeatureQuantizer::fit(&data, 6);
         let qs = QuantizedSvm::from_svm(&svm, &fq);
         let module = bespoke_svm(&qs);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in data.x.iter().take(25) {
             let codes = fq.code_row(row);
             for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.set(&format!("x{f}"), codes[f]);
+                sim.try_set(&format!("x{f}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qs.predict(&codes), "case {case}");
+            assert_eq!(
+                sim.try_get("class")? as usize,
+                qs.predict(&codes),
+                "case {case}"
+            );
         }
+        Ok(())
     });
+    Ok(())
 }
 
 #[test]
-fn optimizer_preserves_function_of_random_circuits() {
+fn optimizer_preserves_function_of_random_circuits() -> Result<(), SimError> {
     cases(0xB15_0004, 24, |case, rng| {
         let n_gates = rng.gen_range(4usize..40);
         let n_inputs = rng.gen_range(2usize..6);
@@ -163,16 +195,18 @@ fn optimizer_preserves_function_of_random_circuits() {
             optimized.gate_count() <= original.gate_count(),
             "case {case}"
         );
-        let mut s0 = Simulator::new(&original);
-        let mut s1 = Simulator::new(&optimized);
+        let mut s0 = Simulator::try_new(&original)?;
+        let mut s1 = Simulator::try_new(&optimized)?;
         for v in 0..(1u64 << n_inputs) {
-            s0.set("x", v);
-            s1.set("x", v);
+            s0.try_set("x", v)?;
+            s1.try_set("x", v)?;
             s0.settle();
             s1.settle();
-            assert_eq!(s0.get("o"), s1.get("o"), "case {case} input {v}");
+            assert_eq!(s0.try_get("o")?, s1.try_get("o")?, "case {case} input {v}");
         }
+        Ok(())
     });
+    Ok(())
 }
 
 /// The worklist optimizer must be equivalence-preserving on the module
@@ -209,6 +243,7 @@ fn optimizer_is_equivalence_preserving_on_bespoke_models() {
                 panic!("case {case}: optimizer changed function at {v:?}")
             }
         }
+        Ok(())
     });
 }
 
@@ -235,11 +270,12 @@ fn quantizer_is_monotone_and_bounded() {
         // Extremes hit the rails.
         assert_eq!(codes[0], 0, "case {case}");
         assert_eq!(*codes.last().unwrap(), fq.max_code(), "case {case}");
+        Ok(())
     });
 }
 
 #[test]
-fn const_multiplier_is_exact_for_any_coefficient() {
+fn const_multiplier_is_exact_for_any_coefficient() -> Result<(), SimError> {
     cases(0xB15_0006, 40, |case, rng| {
         let k = rng.gen_range(0u64..1000);
         let x = rng.gen_range(0u64..256);
@@ -248,102 +284,70 @@ fn const_multiplier_is_exact_for_any_coefficient() {
         let p = const_multiply(&mut b, &xin, k);
         b.output("p", &p);
         let m = b.finish();
-        let mut sim = Simulator::new(&m);
-        sim.set("x", x);
+        let mut sim = Simulator::try_new(&m)?;
+        sim.try_set("x", x)?;
         sim.settle();
         let width = m.output("p").unwrap().width().min(63);
         let mask = (1u64 << width) - 1;
-        assert_eq!(sim.get("p"), (x * k) & mask, "case {case}: k={k} x={x}");
+        assert_eq!(
+            sim.try_get("p")?,
+            (x * k) & mask,
+            "case {case}: k={k} x={x}"
+        );
+        Ok(())
     });
+    Ok(())
 }
 
+/// The lane counts of both compiled kernel widths: a single lane, one
+/// bit either side of every word boundary and the full 256 lanes packed
+/// into `WideSim<4>`, then every count 1..=64 bound port by port on a
+/// `WideSim<1>` — partial words, bit 63 included (the sampled-mode mask
+/// bug regression). Each must agree bit-for-bit with the scalar
+/// simulator.
 #[test]
-fn batch_simulator_matches_scalar_on_random_circuits() {
-    use printed_ml::netlist::BatchSimulator;
-    cases(0xB15_0007, 16, |case, rng| {
-        let n_gates = rng.gen_range(4usize..30);
-        let n_inputs = rng.gen_range(2usize..6);
-        let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let vectors: Vec<u64> = (0..(1u64 << n_inputs)).collect();
-        let mut batch = BatchSimulator::new(&m);
-        batch.set_lanes("x", &vectors);
-        batch.settle();
-        let got = batch.lanes("o", vectors.len());
-        let mut scalar = Simulator::new(&m);
-        for (lane, &v) in vectors.iter().enumerate() {
-            scalar.set("x", v);
-            scalar.settle();
-            assert_eq!(got[lane], scalar.get("o"), "case {case} v={v}");
-        }
-    });
-}
-
-#[test]
-fn batch_simulator_matches_scalar_at_every_lane_count() {
-    // The verification engine packs 1..=64 vectors per settle; partial
-    // words (lane counts below 64) must behave exactly like the scalar
-    // simulator — bit 63 included (the sampled-mode mask bug regression).
-    use printed_ml::netlist::BatchSimulator;
-    cases(0xB15_000A, 4, |case, rng| {
-        let n_gates = rng.gen_range(8usize..30);
-        let n_inputs = rng.gen_range(2usize..6);
-        let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let mut batch = BatchSimulator::new(&m);
-        let mut scalar = Simulator::new(&m);
-        for lanes in 1usize..=64 {
-            let vectors: Vec<u64> = (0..lanes)
-                .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
-                .collect();
-            batch.set_lanes("x", &vectors);
-            batch.settle();
-            let got = batch.lanes("o", lanes);
-            for (lane, &v) in vectors.iter().enumerate() {
-                scalar.set("x", v);
-                scalar.settle();
-                assert_eq!(
-                    got[lane],
-                    scalar.get("o"),
-                    "case {case} lanes={lanes} lane={lane} v={v}"
-                );
-            }
-        }
-    });
-}
-
-/// The boundary lane counts of the compiled wide kernel: a single lane,
-/// one bit either side of every word boundary, and the full 256-lane
-/// width of `WideSim<4>`. Each packing must agree bit-for-bit with the
-/// scalar simulator.
-#[test]
-fn wide_sim_matches_scalar_at_boundary_lane_counts() {
+fn wide_sim_matches_scalar_at_boundary_lane_counts() -> Result<(), SimError> {
     use printed_ml::netlist::{CompiledNetlist, WideSim};
     use std::sync::Arc;
     cases(0xB15_000C, 4, |case, rng| {
         let n_gates = rng.gen_range(8usize..30);
         let n_inputs = rng.gen_range(2usize..6);
         let m = random_circuit(rng, n_gates, n_inputs, 3);
-        let mut wide: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::compile(&m)));
-        let mut scalar = Simulator::new(&m);
+        let compiled = Arc::new(CompiledNetlist::try_compile(&m)?);
+        let mut wide: WideSim<4> = WideSim::new(Arc::clone(&compiled));
+        let mut narrow: WideSim<1> = WideSim::new(compiled);
+        let mut scalar = Simulator::try_new(&m)?;
         for lanes in [1usize, 63, 64, 65, 255, 256] {
-            let vectors: Vec<Vec<u64>> = (0..lanes)
-                .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
+            let xs: Vec<u64> = (0..lanes)
+                .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
                 .collect();
-            let image = wide.pack_vectors(&vectors);
-            wide.load_packed(&image);
+            let vectors: Vec<Vec<u64>> = xs.iter().map(|&x| vec![x]).collect();
+            let image = wide.try_pack_vectors(&vectors)?;
+            wide.try_load_packed(&image)?;
             wide.settle();
-            let got = wide.lanes("o", lanes);
-            for (lane, v) in vectors.iter().enumerate() {
-                scalar.set("x", v[0]);
-                scalar.settle();
-                assert_eq!(
-                    got[lane],
-                    scalar.get("o"),
-                    "case {case} lanes={lanes} lane={lane} v={}",
-                    v[0]
-                );
-            }
+            let want = scalar_responses(&mut scalar, &xs)?;
+            assert_eq!(
+                wide.try_lanes("o", lanes)?,
+                want,
+                "case {case} lanes={lanes}"
+            );
         }
+        for lanes in 1usize..=64 {
+            let xs: Vec<u64> = (0..lanes)
+                .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
+                .collect();
+            narrow.try_set_lanes("x", &xs)?;
+            narrow.settle();
+            let want = scalar_responses(&mut scalar, &xs)?;
+            assert_eq!(
+                narrow.try_lanes("o", lanes)?,
+                want,
+                "case {case} lanes={lanes}"
+            );
+        }
+        Ok(())
     });
+    Ok(())
 }
 
 /// In-place fault injection in the compiled kernel must behave exactly
@@ -351,7 +355,7 @@ fn wide_sim_matches_scalar_at_boundary_lane_counts() {
 /// simulating the mutated module scalar-style — at every boundary lane
 /// count, for stuck-at-0 and stuck-at-1 sites alike.
 #[test]
-fn wide_sim_matches_scalar_under_injected_faults() {
+fn wide_sim_matches_scalar_under_injected_faults() -> Result<(), SimError> {
     use printed_ml::netlist::faults::{fault_sites, inject};
     use printed_ml::netlist::{CompiledNetlist, WideSim};
     use std::sync::Arc;
@@ -359,36 +363,34 @@ fn wide_sim_matches_scalar_under_injected_faults() {
         let n_inputs = rng.gen_range(2usize..5);
         let n_gates = rng.gen_range(8usize..24);
         let m = random_circuit(rng, n_gates, n_inputs, 2);
-        let mut wide: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::compile(&m)));
+        let mut wide: WideSim<4> = WideSim::new(Arc::new(CompiledNetlist::try_compile(&m)?));
         let sites = fault_sites(&m);
         // Sample up to 8 sites; the kernel's own unit tests sweep all of
         // them on a fixed circuit, this property varies the circuit.
         let stride = sites.len().div_ceil(8).max(1);
         for fault in sites.iter().step_by(stride) {
             let faulty = inject(&m, *fault);
-            let mut scalar = Simulator::new(&faulty);
+            let mut scalar = Simulator::try_new(&faulty)?;
             wide.inject_fault(fault.net, fault.stuck_at);
             for lanes in [1usize, 63, 64, 65, 255, 256] {
-                let vectors: Vec<Vec<u64>> = (0..lanes)
-                    .map(|_| vec![rng.gen_range(0u64..(1u64 << n_inputs))])
+                let xs: Vec<u64> = (0..lanes)
+                    .map(|_| rng.gen_range(0u64..(1u64 << n_inputs)))
                     .collect();
-                let image = wide.pack_vectors(&vectors);
-                wide.load_packed(&image);
+                let vectors: Vec<Vec<u64>> = xs.iter().map(|&x| vec![x]).collect();
+                let image = wide.try_pack_vectors(&vectors)?;
+                wide.try_load_packed(&image)?;
                 wide.settle();
-                let got = wide.lanes("o", lanes);
-                for (lane, v) in vectors.iter().enumerate() {
-                    scalar.set("x", v[0]);
-                    scalar.settle();
-                    assert_eq!(
-                        got[lane],
-                        scalar.get("o"),
-                        "case {case} fault={fault:?} lanes={lanes} lane={lane}"
-                    );
-                }
+                assert_eq!(
+                    wide.try_lanes("o", lanes)?,
+                    scalar_responses(&mut scalar, &xs)?,
+                    "case {case} fault={fault:?} lanes={lanes}"
+                );
             }
             wide.clear_fault();
         }
+        Ok(())
     });
+    Ok(())
 }
 
 /// The verification entry points shard their work over the pool but
@@ -397,7 +399,7 @@ fn wide_sim_matches_scalar_under_injected_faults() {
 #[test]
 fn verification_is_identical_at_1_4_and_8_threads() {
     use printed_ml::exec::with_threads;
-    use printed_ml::netlist::{check_equivalence, fault_coverage};
+    use printed_ml::netlist::{check_equivalence, try_fault_coverage};
     cases(0xB15_000E, 3, |case, rng| {
         let n_inputs = rng.gen_range(3usize..6);
         let n_gates = rng.gen_range(10usize..40);
@@ -409,7 +411,7 @@ fn verification_is_identical_at_1_4_and_8_threads() {
         let run = || {
             (
                 check_equivalence(&m, &optimized, 10, 300).expect("comparable ports"),
-                fault_coverage(&m, &vectors),
+                try_fault_coverage(&m, &vectors),
             )
         };
         let one = with_threads(1, run);
@@ -417,11 +419,12 @@ fn verification_is_identical_at_1_4_and_8_threads() {
         let eight = with_threads(8, run);
         assert_eq!(one, four, "case {case}");
         assert_eq!(one, eight, "case {case}");
+        Ok(())
     });
 }
 
 #[test]
-fn forest_hardware_matches_model_on_random_datasets() {
+fn forest_hardware_matches_model_on_random_datasets() -> Result<(), SimError> {
     use printed_ml::core::bespoke_forest;
     use printed_ml::ml::forest::{ForestParams, RandomForest};
     use printed_ml::ml::quant::QuantizedForest;
@@ -438,20 +441,26 @@ fn forest_hardware_matches_model_on_random_datasets() {
         let fq = FeatureQuantizer::fit(&data, 5);
         let qf = QuantizedForest::from_forest(&forest, &fq);
         let module = bespoke_forest(&qf);
-        let mut sim = Simulator::new(&module);
+        let mut sim = Simulator::try_new(&module)?;
         for row in data.x.iter().take(20) {
             let codes = fq.code_row(row);
             for &f in &qf.used_features() {
-                sim.set(&format!("f{f}"), codes[f]);
+                sim.try_set(&format!("f{f}"), codes[f])?;
             }
             sim.settle();
-            assert_eq!(sim.get("class") as usize, qf.predict(&codes), "case {case}");
+            assert_eq!(
+                sim.try_get("class")? as usize,
+                qf.predict(&codes),
+                "case {case}"
+            );
         }
+        Ok(())
     });
+    Ok(())
 }
 
 #[test]
-fn serial_tree_matches_parallel_tree_on_random_datasets() {
+fn serial_tree_matches_parallel_tree_on_random_datasets() -> Result<(), SimError> {
     use printed_ml::core::bespoke::bespoke_serial;
     cases(0xB15_0009, 16, |case, rng| {
         let data = random_dataset(rng);
@@ -461,24 +470,30 @@ fn serial_tree_matches_parallel_tree_on_random_datasets() {
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let parallel = bespoke_parallel(&qt);
         let (spec, serial) = bespoke_serial(&qt);
-        let mut psim = Simulator::new(&parallel);
-        let mut ssim = Simulator::new(&serial);
+        let mut psim = Simulator::try_new(&parallel)?;
+        let mut ssim = Simulator::try_new(&serial)?;
         let used = qt.used_features();
         for row in data.x.iter().take(20) {
             let codes = fq.code_row(row);
             for (slot, &f) in used.iter().enumerate() {
-                psim.set(&format!("f{slot}"), codes[f]);
+                psim.try_set(&format!("f{slot}"), codes[f])?;
             }
             psim.settle();
             ssim.reset();
             for (slot, &f) in used.iter().enumerate() {
-                ssim.set(&format!("f{slot}"), codes[f]);
+                ssim.try_set(&format!("f{slot}"), codes[f])?;
             }
             for _ in 0..spec.depth {
                 ssim.step();
             }
             ssim.settle();
-            assert_eq!(psim.get("class"), ssim.get("class"), "case {case}");
+            assert_eq!(
+                psim.try_get("class")?,
+                ssim.try_get("class")?,
+                "case {case}"
+            );
         }
+        Ok(())
     });
+    Ok(())
 }
