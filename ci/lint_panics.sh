@@ -19,6 +19,7 @@ FILES=(
   crates/netlist/src/faults.rs
   crates/netlist/src/verify.rs
   crates/netlist/src/error.rs
+  crates/netlist/src/graph.rs
   crates/ml/src/metrics.rs
 )
 

@@ -6,14 +6,13 @@
 //! input-to-output combinational path (for sequential designs this is the
 //! minimum clock period; inference latency is `cycles × period`).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use pdk::rom::{rom_cost, RomSpec, RomStyle};
 use pdk::{Area, CellLibrary, Delay, Power};
 
-use crate::ir::{Module, NetId, Signal};
+use crate::graph::{Graph, Item};
+use crate::ir::{Module, Signal};
 
 /// Power-performance-area report for one module in one technology.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -68,6 +67,10 @@ impl Ppa {
 /// let ppa = analyze(&m, &CellLibrary::for_technology(Technology::Egt));
 /// assert_eq!(ppa.gate_count, 1);
 /// ```
+///
+/// # Panics
+/// Panics with the [`crate::SimError`] text if `module` fails
+/// [`Module::validate`] or has a combinational cycle.
 pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
     if !cache::enabled() {
         return analyze_impl(module, lib);
@@ -128,125 +131,46 @@ fn analyze_impl(module: &Module, lib: &CellLibrary) -> Ppa {
     }
 }
 
-/// Longest combinational path through the module.
+/// Longest combinational path through the module: a forward pass over
+/// the shared topological order. Sources (inputs, constants) arrive at
+/// 0, flip-flop outputs at clk-to-Q; paths end at output ports and
+/// flip-flop D pins.
 fn critical_path(module: &Module, lib: &CellLibrary, rom_delays: &[Delay]) -> Delay {
-    #[derive(Clone, Copy)]
-    enum Item {
-        Gate(usize),
-        Rom(usize),
+    let order = Graph::new(module)
+        .and_then(|g| g.order())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut arrival = vec![Delay::ZERO; module.net_count()];
+    for g in module.gates.iter().filter(|g| g.kind.is_sequential()) {
+        arrival[g.output.index()] = lib.cost(g.kind).delay;
     }
-    // Net arrival times; sources (inputs, constants) arrive at 0, DFF
-    // outputs at clk-to-Q.
-    let mut arrival: HashMap<NetId, Delay> = HashMap::new();
-    let mut driver: HashMap<NetId, Item> = HashMap::new();
-    for (i, g) in module.gates.iter().enumerate() {
-        if g.kind.is_sequential() {
-            arrival.insert(g.output, lib.cost(g.kind).delay);
-        } else {
-            driver.insert(g.output, Item::Gate(i));
-        }
-    }
-    for (i, r) in module.roms.iter().enumerate() {
-        for net in &r.data {
-            driver.insert(*net, Item::Rom(i));
-        }
-    }
-    for port in &module.inputs {
-        for bit in &port.bits {
-            if let Signal::Net(n) = bit {
-                arrival.insert(*n, Delay::ZERO);
-            }
-        }
-    }
-
-    // Memoized arrival computation with an explicit stack (deep ripple
-    // chains would overflow recursion).
-    fn sig_arrival(
-        sig: Signal,
-        arrival: &mut HashMap<NetId, Delay>,
-        driver: &HashMap<NetId, Item>,
-        module: &Module,
-        lib: &CellLibrary,
-        rom_delays: &[Delay],
-    ) -> Delay {
-        let Signal::Net(root) = sig else {
-            return Delay::ZERO;
+    let latest = |arrival: &[Delay], sigs: &[Signal]| {
+        sigs.iter()
+            .filter_map(|s| s.net())
+            .fold(Delay::ZERO, |worst, n| worst.max(arrival[n.index()]))
+    };
+    for item in order {
+        let own_delay = match item {
+            Item::Gate(i) => lib.cost(module.gates[i].kind).delay,
+            Item::Rom(i) => rom_delays[i],
         };
-        if let Some(d) = arrival.get(&root) {
-            return *d;
+        // Every data output of a ROM shares the macro arrival.
+        let t = latest(&arrival, item.inputs(module)) + own_delay;
+        for out in item.outputs(module) {
+            arrival[out.index()] = t;
         }
-        let mut stack = vec![root];
-        while let Some(&net) = stack.last() {
-            if arrival.contains_key(&net) {
-                stack.pop();
-                continue;
-            }
-            let Some(item) = driver.get(&net) else {
-                // Undriven net in a validated module cannot happen; treat
-                // defensively as a source.
-                arrival.insert(net, Delay::ZERO);
-                stack.pop();
-                continue;
-            };
-            let (input_sigs, own_delay): (&[Signal], Delay) = match *item {
-                Item::Gate(i) => {
-                    let g = &module.gates[i];
-                    (&g.inputs, lib.cost(g.kind).delay)
-                }
-                Item::Rom(i) => (&module.roms[i].addr, rom_delays[i]),
-            };
-            let mut ready = true;
-            let mut worst = Delay::ZERO;
-            for s in input_sigs {
-                match s {
-                    Signal::Const(_) => {}
-                    Signal::Net(n) => match arrival.get(n) {
-                        Some(d) => worst = worst.max(*d),
-                        None => {
-                            ready = false;
-                            stack.push(*n);
-                        }
-                    },
-                }
-            }
-            if ready {
-                // Every data output of a ROM shares the macro arrival; for a
-                // gate this is just its single output.
-                match *item {
-                    Item::Gate(i) => {
-                        arrival.insert(module.gates[i].output, worst + own_delay);
-                    }
-                    Item::Rom(i) => {
-                        for out in &module.roms[i].data {
-                            arrival.insert(*out, worst + own_delay);
-                        }
-                    }
-                }
-                stack.pop();
-            }
-        }
-        arrival[&root]
     }
-
-    let mut worst = Delay::ZERO;
-    // Path endpoints: module outputs and DFF D pins.
+    let dff_inputs = module
+        .gates
+        .iter()
+        .filter(|g| g.kind.is_sequential())
+        .map(|g| g.inputs[0]);
     let endpoints: Vec<Signal> = module
         .outputs
         .iter()
         .flat_map(|p| p.bits.iter().copied())
-        .chain(
-            module
-                .gates
-                .iter()
-                .filter(|g| g.kind.is_sequential())
-                .map(|g| g.inputs[0]),
-        )
+        .chain(dff_inputs)
         .collect();
-    for sig in endpoints {
-        let d = sig_arrival(sig, &mut arrival, &driver, module, lib, rom_delays);
-        worst = worst.max(d);
-    }
-    worst
+    latest(&arrival, &endpoints)
 }
 
 #[cfg(test)]
@@ -379,6 +303,12 @@ mod tests {
         let ppa = analyze(&b.finish(), &egt());
         assert!((ppa.latency(4).as_secs() - ppa.delay.as_secs() * 4.0).abs() < 1e-15);
         assert!(ppa.energy(2).as_mj() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "combinational cycle")]
+    fn cyclic_modules_are_reported_not_walked_forever() {
+        analyze(&crate::graph::tests::and_buf_loop(), &egt());
     }
 }
 

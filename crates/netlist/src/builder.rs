@@ -15,6 +15,7 @@ use pdk::rom::RomStyle;
 use pdk::CellKind;
 
 use crate::error::SimError;
+use crate::graph::Graph;
 use crate::ir::{Gate, Module, NetId, Port, RomInstance, Signal};
 
 /// Incrementally builds a [`Module`].
@@ -399,13 +400,8 @@ impl NetlistBuilder {
     /// [`SimError::InvalidModule`]) instead of panicking, so callers can
     /// report which generator produced the invalid module.
     pub fn try_finish(self) -> Result<Module, SimError> {
-        match self.module.validate() {
-            Ok(()) => Ok(self.module),
-            Err(reason) => Err(SimError::InvalidModule {
-                module: self.module.name.clone(),
-                reason,
-            }),
-        }
+        Graph::new(&self.module)?;
+        Ok(self.module)
     }
 }
 

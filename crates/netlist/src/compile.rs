@@ -39,12 +39,12 @@
 //! property tests at lane counts straddling every word boundary (with
 //! and without injected faults) and the `check` crate's engine oracle.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use pdk::CellKind;
 
 use crate::error::{check_width, SimError};
+use crate::graph::{Graph, Item};
 use crate::ir::{Module, NetId, Port, Signal};
 
 /// Compilations performed (one per [`CompiledNetlist::try_compile`]).
@@ -219,20 +219,22 @@ impl CompiledNetlist {
                 module: module.name.clone(),
             });
         }
-        module
-            .validate()
-            .map_err(|reason| SimError::InvalidModule {
-                module: module.name.clone(),
-                reason,
-            })?;
-        let (order, rom_order) = levelize(module)?;
+        let order = Graph::new(module)?.order()?;
 
         let mut ops = Vec::with_capacity(order.len());
         let mut srcs = Vec::with_capacity(order.len());
         let mut outs = Vec::with_capacity(order.len());
         let mut inv = Vec::with_capacity(order.len());
-        for &gi in &order {
-            let g = &module.gates[gi];
+        // ROMs at position `p` evaluate before the `p`-th instruction.
+        let mut rom_order = Vec::new();
+        for &item in &order {
+            let g = match item {
+                Item::Gate(gi) => &module.gates[gi],
+                Item::Rom(ri) => {
+                    rom_order.push((ops.len(), ri));
+                    continue;
+                }
+            };
             let (op, invert) = match g.kind {
                 CellKind::And2 => (Opcode::And, false),
                 CellKind::Nand2 => (Opcode::And, true),
@@ -313,23 +315,11 @@ impl CompiledNetlist {
             for &s in &input_slots {
                 assign(s);
             }
-            // Mirror the settle loop's schedule: ROMs due at position
-            // `p` define their data slots just before instruction `p`.
-            let mut rc = 0usize;
-            for (pos, &out) in outs.iter().enumerate() {
-                while rc < rom_order.len() && rom_order[rc].0 <= pos {
-                    for &d in &roms[rom_order[rc].1].data {
-                        assign(d);
-                    }
-                    rc += 1;
+            // The settle loop computes values in the shared order.
+            for &item in &order {
+                for &n in item.outputs(module) {
+                    assign(slot_of(Signal::Net(n)));
                 }
-                assign(out);
-            }
-            while rc < rom_order.len() {
-                for &d in &roms[rom_order[rc].1].data {
-                    assign(d);
-                }
-                rc += 1;
             }
             // Undriven, unused nets (validate allows them) get the tail
             // slots so the table stays total — fault injection may still
@@ -419,86 +409,6 @@ impl CompiledNetlist {
         check_width(&port.name, port.slots.len())?;
         Ok(port)
     }
-}
-
-/// Kahn/DFS levelization shared by the tape compiler: a topological
-/// order of gate indices plus the ROM schedule (`(position, rom)`
-/// pairs; ROMs at position `p` evaluate before the `p`-th ordered gate).
-/// A combinational cycle is reported as [`SimError::CombinationalCycle`].
-#[allow(clippy::type_complexity)]
-fn levelize(module: &Module) -> Result<(Vec<usize>, Vec<(usize, usize)>), SimError> {
-    let mut driver: HashMap<NetId, usize> = HashMap::new();
-    let mut rom_driver: HashMap<NetId, usize> = HashMap::new();
-    for (i, g) in module.gates.iter().enumerate() {
-        driver.insert(g.output, i);
-    }
-    for (i, r) in module.roms.iter().enumerate() {
-        for n in &r.data {
-            rom_driver.insert(*n, i);
-        }
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let n_items = module.gates.len() + module.roms.len();
-    let mut marks = vec![Mark::White; n_items];
-    let item_of_net = |n: NetId| -> Option<usize> {
-        driver
-            .get(&n)
-            .copied()
-            .or_else(|| rom_driver.get(&n).map(|r| module.gates.len() + r))
-    };
-    let inputs_of = |item: usize| -> &[Signal] {
-        if item < module.gates.len() {
-            &module.gates[item].inputs
-        } else {
-            &module.roms[item - module.gates.len()].addr
-        }
-    };
-    let mut order = Vec::new();
-    let mut rom_order = Vec::new();
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n_items {
-        if marks[root] != Mark::White {
-            continue;
-        }
-        marks[root] = Mark::Grey;
-        stack.push((root, 0));
-        while let Some(&mut (item, ref mut next)) = stack.last_mut() {
-            let ins = inputs_of(item);
-            if *next < ins.len() {
-                let idx = *next;
-                *next += 1;
-                let Signal::Net(n) = ins[idx] else { continue };
-                let Some(dep) = item_of_net(n) else { continue };
-                match marks[dep] {
-                    Mark::Black => {}
-                    Mark::Grey => {
-                        return Err(SimError::CombinationalCycle {
-                            module: module.name.clone(),
-                            net: n.index(),
-                        })
-                    }
-                    Mark::White => {
-                        marks[dep] = Mark::Grey;
-                        stack.push((dep, 0));
-                    }
-                }
-            } else {
-                marks[item] = Mark::Black;
-                if item < module.gates.len() {
-                    order.push(item);
-                } else {
-                    rom_order.push((order.len(), item - module.gates.len()));
-                }
-                stack.pop();
-            }
-        }
-    }
-    Ok((order, rom_order))
 }
 
 /// Lane-masked word: the first `lanes` bits of word `w` in a `W`-word

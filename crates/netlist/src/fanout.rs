@@ -7,82 +7,31 @@
 //! PPA numbers for high-fanout designs include the repair cost the paper's
 //! synthesized netlists implicitly paid.
 
-use std::collections::HashMap;
-
 use pdk::CellKind;
 
+use crate::graph::{Driver, Graph, Reader};
 use crate::ir::{Gate, Module, NetId, Signal};
-
-/// Where a net is read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Reader {
-    /// `gates[i].inputs[pin]`.
-    GatePin(usize, usize),
-    /// `roms[i].addr[pin]`.
-    RomAddr(usize, usize),
-    /// `outputs[i].bits[pin]`.
-    OutputBit(usize, usize),
-}
-
-/// Dense net → reading-gate index, shared with the worklist optimizer
-/// ([`crate::opt`]): `result[net][..]` lists every gate whose inputs
-/// reference the net. ROM address pins and output ports are not included —
-/// only gate-to-gate fanout, which is what incremental rewriting needs.
-pub(crate) fn gate_reader_index(module: &Module) -> Vec<Vec<u32>> {
-    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); module.net_count()];
-    for (gi, g) in module.gates.iter().enumerate() {
-        for s in &g.inputs {
-            if let Signal::Net(n) = s {
-                readers[n.index()].push(gi as u32);
-            }
-        }
-    }
-    readers
-}
 
 /// Histogram of net fanouts: `result[k]` = number of nets read exactly `k`
 /// times (index 0 counts driven-but-unread nets).
+///
+/// # Panics
+/// Panics with the [`crate::SimError`] text if `module` fails
+/// [`Module::validate`].
 pub fn fanout_histogram(module: &Module) -> Vec<usize> {
-    let mut fanout: HashMap<NetId, usize> = HashMap::new();
-    for port in &module.inputs {
-        for bit in &port.bits {
-            if let Signal::Net(n) = bit {
-                fanout.insert(*n, 0);
+    let graph = Graph::new(module).unwrap_or_else(|e| panic!("{e}"));
+    let readers = graph.readers();
+    let mut hist = vec![0usize];
+    // In a valid module every read net is driven, so the driven nets are
+    // all the nets there are to count; nets the optimizer retired are not.
+    for net in (0..module.net_count).map(NetId) {
+        if graph.driver(net) != Driver::Undriven {
+            let f = readers.of(net).len();
+            if f >= hist.len() {
+                hist.resize(f + 1, 0);
             }
+            hist[f] += 1;
         }
-    }
-    for g in &module.gates {
-        fanout.insert(g.output, 0);
-    }
-    for r in &module.roms {
-        for n in &r.data {
-            fanout.insert(*n, 0);
-        }
-    }
-    let mut bump = |s: &Signal| {
-        if let Signal::Net(n) = s {
-            *fanout.entry(*n).or_insert(0) += 1;
-        }
-    };
-    for g in &module.gates {
-        for s in &g.inputs {
-            bump(s);
-        }
-    }
-    for r in &module.roms {
-        for s in &r.addr {
-            bump(s);
-        }
-    }
-    for p in &module.outputs {
-        for s in &p.bits {
-            bump(s);
-        }
-    }
-    let max = fanout.values().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for (_, f) in fanout {
-        hist[f] += 1;
     }
     hist
 }
@@ -101,57 +50,25 @@ pub fn max_fanout(module: &Module) -> usize {
 /// the identity); area, power and delay grow accordingly.
 ///
 /// # Panics
-/// Panics if `limit` is zero.
+/// Panics if `limit` is zero, or with the [`crate::SimError`] text if
+/// `module` fails [`Module::validate`].
 pub fn insert_buffers(module: &Module, limit: usize) -> Module {
     assert!(limit >= 1, "fanout limit must be at least 1");
     let mut m = module.clone();
     loop {
-        // Collect readers per net.
-        let mut readers: HashMap<NetId, Vec<Reader>> = HashMap::new();
-        for (gi, g) in m.gates.iter().enumerate() {
-            for (pin, s) in g.inputs.iter().enumerate() {
-                if let Signal::Net(n) = s {
-                    readers
-                        .entry(*n)
-                        .or_default()
-                        .push(Reader::GatePin(gi, pin));
-                }
-            }
-        }
-        for (ri, r) in m.roms.iter().enumerate() {
-            for (pin, s) in r.addr.iter().enumerate() {
-                if let Signal::Net(n) = s {
-                    readers
-                        .entry(*n)
-                        .or_default()
-                        .push(Reader::RomAddr(ri, pin));
-                }
-            }
-        }
-        for (pi, p) in m.outputs.iter().enumerate() {
-            for (pin, s) in p.bits.iter().enumerate() {
-                if let Signal::Net(n) = s {
-                    readers
-                        .entry(*n)
-                        .or_default()
-                        .push(Reader::OutputBit(pi, pin));
-                }
-            }
-        }
-        // Tie-break on the net id: `readers` is a HashMap, and picking
-        // the first max in iteration order would make the buffer tree
-        // (and thus the module's content hash) vary run to run.
-        let mut worst: Option<(NetId, Vec<Reader>)> = None;
-        for (net, list) in readers {
-            if list.len() > limit
-                && worst
-                    .as_ref()
-                    .is_none_or(|(wn, w)| (list.len(), wn.0) > (w.len(), net.0))
-            {
-                worst = Some((net, list));
-            }
-        }
-        let Some((net, list)) = worst else { break };
+        // The most-read net over the limit; ties go to the larger net id,
+        // so the buffer tree (and the module's content hash) is fixed.
+        let worst = {
+            let graph = Graph::new(&m).unwrap_or_else(|e| panic!("{e}"));
+            let readers = graph.readers();
+            (0..m.net_count)
+                .map(NetId)
+                .max_by_key(|&n| (readers.of(n).len(), n))
+                .map(|n| (n, readers.of(n).to_vec()))
+        };
+        let Some((net, list)) = worst.filter(|(_, list)| list.len() > limit) else {
+            break;
+        };
         // Chunk readers behind fresh buffers.
         for chunk in list.chunks(limit) {
             let buf_out = NetId(m.net_count);
@@ -175,7 +92,6 @@ pub fn insert_buffers(module: &Module, limit: usize) -> Module {
         // Loop: the buffers themselves may now exceed the limit on `net`
         // (handled next iteration by buffering the buffers).
     }
-    debug_assert!(m.validate().is_ok(), "buffer insertion broke the module");
     m
 }
 
@@ -204,6 +120,22 @@ mod tests {
         let hist = fanout_histogram(&m);
         assert_eq!(hist[12], 1); // the input net
         assert_eq!(hist[1], 12); // each inverter output feeds one port bit
+    }
+
+    #[test]
+    fn histogram_skips_nets_the_optimizer_retired() {
+        let mut b = NetlistBuilder::new("node");
+        let x = b.input("x", 8);
+        let tau = b.const_word(100, 8);
+        let le = crate::comb::unsigned_le(&mut b, &x, &tau);
+        b.output("le", &[le]);
+        let opt = crate::opt::optimize(&b.finish());
+        let hist = fanout_histogram(&opt);
+        // Only the input bits and the surviving gates' outputs are nets
+        // any more; `net_count` still spans the retired ones.
+        assert_eq!(hist.iter().sum::<usize>(), 8 + opt.gate_count());
+        assert!(opt.net_count() > 8 + opt.gate_count());
+        assert_eq!(hist, vec![0, 16]);
     }
 
     #[test]

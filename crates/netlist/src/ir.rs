@@ -238,71 +238,13 @@ impl Module {
     }
 
     /// Validates structural invariants: every net has at most one driver,
-    /// gates have the arity their cell kind requires, and ports reference
-    /// allocated nets.
+    /// gates have the arity their cell kind requires, ROMs have an
+    /// address, and every referenced net is allocated and driven.
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
-        let mut driven = vec![false; self.net_count as usize];
-        let mut drive = |net: NetId, what: &str| -> Result<(), String> {
-            let i = net.index();
-            if i >= driven.len() {
-                return Err(format!("{what} drives unallocated net {i}"));
-            }
-            if driven[i] {
-                return Err(format!("net {i} has multiple drivers (latest: {what})"));
-            }
-            driven[i] = true;
-            Ok(())
-        };
-        for port in &self.inputs {
-            for bit in &port.bits {
-                match bit {
-                    Signal::Net(n) => drive(*n, &format!("input port {}", port.name))?,
-                    Signal::Const(_) => {
-                        return Err(format!("input port {} contains a constant bit", port.name))
-                    }
-                }
-            }
-        }
-        for (i, gate) in self.gates.iter().enumerate() {
-            if gate.inputs.len() != gate.kind.input_count() {
-                return Err(format!(
-                    "gate {i} ({}) has {} inputs, expected {}",
-                    gate.kind,
-                    gate.inputs.len(),
-                    gate.kind.input_count()
-                ));
-            }
-            drive(gate.output, &format!("gate {i} ({})", gate.kind))?;
-        }
-        for (i, rom) in self.roms.iter().enumerate() {
-            for net in &rom.data {
-                drive(*net, &format!("rom {i}"))?;
-            }
-            if rom.addr.is_empty() {
-                return Err(format!("rom {i} has no address bits"));
-            }
-        }
-        // Every net referenced as an input must be driven by something.
-        let used = self
-            .gates
-            .iter()
-            .flat_map(|g| g.inputs.iter())
-            .chain(self.roms.iter().flat_map(|r| r.addr.iter()))
-            .chain(self.outputs.iter().flat_map(|p| p.bits.iter()));
-        for sig in used {
-            if let Signal::Net(n) = sig {
-                if n.index() >= driven.len() {
-                    return Err(format!("reference to unallocated net {}", n.index()));
-                }
-                if !driven[n.index()] {
-                    return Err(format!("net {} is read but never driven", n.index()));
-                }
-            }
-        }
-        Ok(())
+        crate::graph::drivers(self).map(drop)
     }
 }
 

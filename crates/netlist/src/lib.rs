@@ -13,6 +13,9 @@
 //!   registers) — the component set Table I prices;
 //! * [`opt`] — constant folding, identities, CSE and dead-gate removal: the
 //!   synthesis optimization that makes *bespoke* classifiers small;
+//! * `graph` (crate-private) — the one validated driver table and
+//!   topological order that simulation, compilation, critical-path timing,
+//!   logic depth and fanout repair all share;
 //! * [`analysis`] — area / static power / critical-path reports against a
 //!   [`pdk::CellLibrary`];
 //! * [`sim`] — levelized scalar simulation (combinational + clocked), the
@@ -51,6 +54,7 @@ pub mod compile;
 pub mod error;
 pub mod fanout;
 pub mod faults;
+mod graph;
 pub mod ir;
 pub mod opt;
 pub mod seq;

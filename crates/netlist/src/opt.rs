@@ -37,7 +37,7 @@ use std::time::Instant;
 use pdk::CellKind;
 use serde::Serialize;
 
-use crate::fanout::gate_reader_index;
+use crate::graph::{Driver, Graph};
 use crate::ir::{Gate, Module, NetId, Signal};
 
 /// Statistics from one [`optimize_with_stats`] call.
@@ -210,6 +210,22 @@ type CseKey = (CellKind, Vec<(u8, u64)>, bool);
 
 /// Sentinel for "net has no gate driver" in the dense driver index.
 const NO_GATE: u32 = u32::MAX;
+
+/// Dense net → reading-gate index: `result[net][..]` lists every gate
+/// whose inputs reference the net. ROM address pins and output ports are
+/// not included — only gate-to-gate fanout, which is what incremental
+/// rewriting needs.
+fn gate_reader_index(module: &Module) -> Vec<Vec<u32>> {
+    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); module.net_count()];
+    for (gi, g) in module.gates.iter().enumerate() {
+        for s in &g.inputs {
+            if let Signal::Net(n) = s {
+                readers[n.index()].push(gi as u32);
+            }
+        }
+    }
+    readers
+}
 
 struct Engine {
     gates: Vec<Gate>,
@@ -677,25 +693,15 @@ fn dce(m: &mut Module) {
             mark(s, &mut live, &mut work);
         }
     }
-    let mut gate_of: HashMap<NetId, usize> = HashMap::with_capacity(m.gates.len());
-    for (i, g) in m.gates.iter().enumerate() {
-        gate_of.insert(g.output, i);
-    }
-    let mut rom_of: HashMap<NetId, usize> = HashMap::new();
-    for (i, r) in m.roms.iter().enumerate() {
-        for net in &r.data {
-            rom_of.insert(*net, i);
-        }
-    }
+    let graph = Graph::new(m).unwrap_or_else(|e| panic!("optimizer produced {e}"));
     while let Some(n) = work.pop() {
-        if let Some(&gi) = gate_of.get(&n) {
-            for &s in &m.gates[gi].inputs.clone() {
-                mark(s, &mut live, &mut work);
-            }
-        } else if let Some(&ri) = rom_of.get(&n) {
-            for &s in &m.roms[ri].addr.clone() {
-                mark(s, &mut live, &mut work);
-            }
+        let inputs = match graph.driver(n) {
+            Driver::Gate(gi) | Driver::Dff(gi) => &m.gates[gi].inputs,
+            Driver::Rom(ri) => &m.roms[ri].addr,
+            Driver::Undriven | Driver::Input => continue,
+        };
+        for &s in inputs {
+            mark(s, &mut live, &mut work);
         }
     }
     m.gates.retain(|g| live[g.output.index()]);

@@ -10,31 +10,11 @@
 //! model that generated it (see the `printed-core` tests and the
 //! workspace-level property tests).
 
-use std::collections::HashMap;
-
 use pdk::CellKind;
 
 use crate::error::{check_width, SimError};
-use crate::ir::{Module, NetId, Signal};
-
-/// What drives a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Driver {
-    /// Module input bit.
-    Input,
-    /// Combinational gate at index.
-    Gate(usize),
-    /// Flip-flop at gate index (a sequential source).
-    Dff(usize),
-    /// ROM macro at index.
-    Rom(usize),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalItem {
-    Gate(usize),
-    Rom(usize),
-}
+use crate::graph::{Graph, Item};
+use crate::ir::{Module, Signal};
 
 /// A levelized functional simulator over one module.
 ///
@@ -60,8 +40,7 @@ pub struct Simulator<'m> {
     values: Vec<bool>,
     /// Current Q of each gate slot (only meaningful for DFFs).
     state: Vec<bool>,
-    order: Vec<EvalItem>,
-    input_ports: HashMap<String, Vec<NetId>>,
+    order: Vec<Item>,
 }
 
 impl<'m> Simulator<'m> {
@@ -69,148 +48,30 @@ impl<'m> Simulator<'m> {
     /// values, reporting validation failures and combinational cycles as
     /// [`SimError`].
     pub fn try_new(module: &'m Module) -> Result<Self, SimError> {
-        module
-            .validate()
-            .map_err(|reason| SimError::InvalidModule {
-                module: module.name.clone(),
-                reason,
-            })?;
-        let mut drivers: HashMap<NetId, Driver> = HashMap::new();
-        for port in &module.inputs {
-            for bit in &port.bits {
-                if let Signal::Net(n) = bit {
-                    drivers.insert(*n, Driver::Input);
-                }
-            }
-        }
-        for (i, gate) in module.gates.iter().enumerate() {
-            let d = if gate.kind.is_sequential() {
-                Driver::Dff(i)
-            } else {
-                Driver::Gate(i)
-            };
-            drivers.insert(gate.output, d);
-        }
-        for (i, rom) in module.roms.iter().enumerate() {
-            for net in &rom.data {
-                drivers.insert(*net, Driver::Rom(i));
-            }
-        }
-
-        // Depth-first topological ordering of combinational items.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
-        let mut gate_marks = vec![Mark::White; module.gates.len()];
-        let mut rom_marks = vec![Mark::White; module.roms.len()];
-        let mut order = Vec::new();
-        // Iterative DFS to survive deep ripple chains.
-        let mut stack: Vec<(EvalItem, usize)> = Vec::new();
-        let item_inputs = |item: EvalItem| -> &[Signal] {
-            match item {
-                EvalItem::Gate(i) => &module.gates[i].inputs,
-                EvalItem::Rom(i) => &module.roms[i].addr,
-            }
-        };
-        let mark_of = |item: EvalItem, g: &[Mark], r: &[Mark]| match item {
-            EvalItem::Gate(i) => g[i],
-            EvalItem::Rom(i) => r[i],
-        };
-        let roots: Vec<EvalItem> = (0..module.gates.len())
-            .filter(|&i| !module.gates[i].kind.is_sequential())
-            .map(EvalItem::Gate)
-            .chain((0..module.roms.len()).map(EvalItem::Rom))
-            .collect();
-        for root in roots {
-            if mark_of(root, &gate_marks, &rom_marks) != Mark::White {
-                continue;
-            }
-            stack.push((root, 0));
-            match root {
-                EvalItem::Gate(i) => gate_marks[i] = Mark::Grey,
-                EvalItem::Rom(i) => rom_marks[i] = Mark::Grey,
-            }
-            while let Some(&mut (item, ref mut next_input)) = stack.last_mut() {
-                let inputs = item_inputs(item);
-                if *next_input < inputs.len() {
-                    let idx = *next_input;
-                    *next_input += 1;
-                    let Signal::Net(n) = inputs[idx] else {
-                        continue;
-                    };
-                    let dep = match drivers.get(&n) {
-                        Some(Driver::Gate(g)) => EvalItem::Gate(*g),
-                        Some(Driver::Rom(r)) => EvalItem::Rom(*r),
-                        // Inputs and DFF outputs are sources.
-                        _ => continue,
-                    };
-                    match mark_of(dep, &gate_marks, &rom_marks) {
-                        Mark::Black => {}
-                        Mark::Grey => {
-                            return Err(SimError::CombinationalCycle {
-                                module: module.name.clone(),
-                                net: n.index(),
-                            })
-                        }
-                        Mark::White => {
-                            match dep {
-                                EvalItem::Gate(i) => gate_marks[i] = Mark::Grey,
-                                EvalItem::Rom(i) => rom_marks[i] = Mark::Grey,
-                            }
-                            stack.push((dep, 0));
-                        }
-                    }
-                } else {
-                    match item {
-                        EvalItem::Gate(i) => gate_marks[i] = Mark::Black,
-                        EvalItem::Rom(i) => rom_marks[i] = Mark::Black,
-                    }
-                    order.push(item);
-                    stack.pop();
-                }
-            }
-        }
-
-        let mut state = vec![false; module.gates.len()];
-        for (i, gate) in module.gates.iter().enumerate() {
-            if gate.kind.is_sequential() {
-                state[i] = gate.init;
-            }
-        }
-        let input_ports = module
-            .inputs
-            .iter()
-            .map(|p| {
-                // validate() has already rejected constant input-port bits.
-                let nets = p.bits.iter().filter_map(|s| s.net()).collect();
-                (p.name.clone(), nets)
-            })
-            .collect();
-
-        Ok(Simulator {
+        let order = Graph::new(module)?.order()?;
+        let mut sim = Simulator {
             module,
             values: vec![false; module.net_count()],
-            state,
+            state: vec![false; module.gates.len()],
             order,
-            input_ports,
-        })
+        };
+        sim.reset();
+        Ok(sim)
     }
 
     /// Drives input port `name` with the little-endian bits of `value`,
     /// reporting an unknown name as [`SimError::UnknownPort`] and a port
     /// wider than 64 bits as [`SimError::PortTooWide`].
     pub fn try_set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        let Some(nets) = self.input_ports.get(name) else {
+        let Some(port) = self.module.input(name) else {
             return Err(SimError::UnknownPort {
                 direction: "input",
                 name: name.to_string(),
             });
         };
-        check_width(name, nets.len())?;
-        for (i, net) in nets.iter().enumerate() {
+        check_width(name, port.bits.len())?;
+        // Graph::new has rejected constant input-port bits.
+        for (i, net) in port.bits.iter().filter_map(|s| s.net()).enumerate() {
             self.values[net.index()] = (value >> i) & 1 == 1;
         }
         Ok(())
@@ -226,25 +87,20 @@ impl<'m> Simulator<'m> {
             }
         }
         for idx in 0..self.order.len() {
-            match self.order[idx] {
-                EvalItem::Gate(i) => {
-                    let gate = &module.gates[i];
-                    let v = self.eval_gate(gate.kind, &gate.inputs);
-                    self.values[gate.output.index()] = v;
+            let item = self.order[idx];
+            let inputs = item.inputs(module);
+            // A gate drives bit 0 of the word, a ROM one bit per data net.
+            let word = match item {
+                Item::Gate(i) => u64::from(self.eval_gate(module.gates[i].kind, inputs)),
+                Item::Rom(i) => {
+                    let addr = (0..).zip(inputs).fold(0usize, |addr, (bit, &sig)| {
+                        addr | usize::from(self.read(sig)) << bit
+                    });
+                    module.roms[i].read(addr)
                 }
-                EvalItem::Rom(i) => {
-                    let rom = &module.roms[i];
-                    let mut addr = 0usize;
-                    for (bit, sig) in rom.addr.iter().enumerate() {
-                        if self.read(*sig) {
-                            addr |= 1 << bit;
-                        }
-                    }
-                    let word = rom.read(addr);
-                    for (bit, net) in rom.data.iter().enumerate() {
-                        self.values[net.index()] = (word >> bit) & 1 == 1;
-                    }
-                }
+            };
+            for (bit, net) in item.outputs(module).iter().enumerate() {
+                self.values[net.index()] = (word >> bit) & 1 == 1;
             }
         }
     }
@@ -429,23 +285,14 @@ mod tests {
 
     #[test]
     fn try_apis_report_errors_instead_of_panicking() {
-        use crate::ir::{Gate, Module, NetId, Signal};
-        use pdk::CellKind;
-        let mut m = Module::new("ring");
-        m.net_count = 2;
-        for (a, b) in [(1u32, 0u32), (0, 1)] {
-            m.gates.push(Gate {
-                kind: CellKind::Inv,
-                inputs: vec![Signal::Net(NetId(a))],
-                output: NetId(b),
-                init: false,
-                region: 0,
-            });
-        }
-        match Simulator::try_new(&m) {
-            Err(SimError::CombinationalCycle { module, .. }) => assert_eq!(module, "ring"),
-            other => panic!("expected a cycle error, got {other:?}"),
-        }
+        let m = crate::graph::tests::and_buf_loop();
+        assert_eq!(
+            Simulator::try_new(&m).err(),
+            Some(SimError::CombinationalCycle {
+                module: "loop".into(),
+                net: 1
+            })
+        );
 
         let mut b = NetlistBuilder::new("ok");
         let x = b.input("x", 1);
@@ -509,6 +356,15 @@ mod tests {
         sim.try_set("x", 1)?;
         sim.settle();
         assert_eq!(sim.try_get("o")?, 1); // even number of inversions
+                                          // Timing and logic depth walk the same chain.
+        assert_eq!(crate::stats::max_logic_levels(&m), 50_000);
+        let lib = pdk::CellLibrary::for_technology(pdk::Technology::Egt);
+        let expect = lib.delay(CellKind::Inv).as_secs() * 50_000.0;
+        let delay = crate::analysis::analyze(&m, &lib).delay.as_secs();
+        assert!(
+            (delay - expect).abs() <= expect * 1e-9,
+            "{delay} vs {expect}"
+        );
         Ok(())
     }
 }

@@ -4,92 +4,39 @@
 //! millisecond in EGT), so "how many levels deep is each output" is the
 //! first question a designer asks of a generated netlist.
 
-use std::collections::HashMap;
-
-use crate::ir::{Module, NetId, Signal};
+use crate::graph::Graph;
+use crate::ir::{Module, Signal};
 
 /// Logic levels (gate counts along the longest path) per output port bit.
 ///
 /// Inputs, constants and flip-flop outputs are depth 0; every gate adds
 /// one level; a ROM macro adds one level. Returns `(port name, bit,
 /// levels)` rows.
+///
+/// # Panics
+/// Panics with the [`crate::SimError`] text if `module` fails
+/// [`Module::validate`] or has a combinational cycle.
 pub fn logic_levels(module: &Module) -> Vec<(String, usize, usize)> {
-    enum Driver {
-        Gate(usize),
-        Rom(usize),
-    }
-    let mut driver: HashMap<NetId, Driver> = HashMap::new();
-    for (i, g) in module.gates.iter().enumerate() {
-        if !g.kind.is_sequential() {
-            driver.insert(g.output, Driver::Gate(i));
+    let order = Graph::new(module)
+        .and_then(|g| g.order())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut depth = vec![0usize; module.net_count()];
+    let level = |depth: &[usize], sig: &Signal| sig.net().map_or(0, |n| depth[n.index()]);
+    for item in order {
+        let d = 1 + item
+            .inputs(module)
+            .iter()
+            .map(|s| level(&depth, s))
+            .max()
+            .unwrap_or(0);
+        for out in item.outputs(module) {
+            depth[out.index()] = d;
         }
-    }
-    for (i, r) in module.roms.iter().enumerate() {
-        for n in &r.data {
-            driver.insert(*n, Driver::Rom(i));
-        }
-    }
-    let mut depth: HashMap<NetId, usize> = HashMap::new();
-    fn depth_of(
-        sig: Signal,
-        driver: &HashMap<NetId, Driver>,
-        module: &Module,
-        depth: &mut HashMap<NetId, usize>,
-    ) -> usize {
-        let Signal::Net(root) = sig else { return 0 };
-        if let Some(&d) = depth.get(&root) {
-            return d;
-        }
-        // Iterative DFS to survive deep ripple chains.
-        let mut stack = vec![root];
-        while let Some(&net) = stack.last() {
-            if depth.contains_key(&net) {
-                stack.pop();
-                continue;
-            }
-            let inputs: &[Signal] = match driver.get(&net) {
-                None => {
-                    depth.insert(net, 0);
-                    stack.pop();
-                    continue;
-                }
-                Some(Driver::Gate(i)) => &module.gates[*i].inputs,
-                Some(Driver::Rom(i)) => &module.roms[*i].addr,
-            };
-            let mut ready = true;
-            let mut worst = 0usize;
-            for s in inputs {
-                if let Signal::Net(n) = s {
-                    match depth.get(n) {
-                        Some(&d) => worst = worst.max(d),
-                        None => {
-                            ready = false;
-                            stack.push(*n);
-                        }
-                    }
-                }
-            }
-            if ready {
-                match driver.get(&net) {
-                    Some(Driver::Rom(i)) => {
-                        for out in &module.roms[*i].data {
-                            depth.insert(*out, worst + 1);
-                        }
-                    }
-                    _ => {
-                        depth.insert(net, worst + 1);
-                    }
-                }
-                stack.pop();
-            }
-        }
-        depth[&root]
     }
     let mut rows = Vec::new();
     for port in &module.outputs {
-        for (bit, &sig) in port.bits.iter().enumerate() {
-            let d = depth_of(sig, &driver, module, &mut depth);
-            rows.push((port.name.clone(), bit, d));
+        for (bit, sig) in port.bits.iter().enumerate() {
+            rows.push((port.name.clone(), bit, level(&depth, sig)));
         }
     }
     rows
@@ -136,6 +83,12 @@ mod tests {
         b.output("d", &d);
         let m = b.finish();
         assert_eq!(max_logic_levels(&m), 2); // inverter + ROM
+    }
+
+    #[test]
+    #[should_panic(expected = "combinational cycle")]
+    fn cyclic_modules_are_reported_not_walked_forever() {
+        logic_levels(&crate::graph::tests::and_buf_loop());
     }
 
     #[test]
