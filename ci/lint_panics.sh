@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Forbids panic!(...) and .unwrap( on the hot simulation / metrics paths.
+# Forbids panic!(...) and .unwrap( in the listed library files.
 #
-# These files expose fallible `try_*` APIs (netlist::SimError,
-# ml::MetricsError) with no panicking twins; their non-test code must
-# route every failure through those types so the differential fuzzer can
-# distinguish "engines disagree" from "input rejected".
+# The simulation and metrics hot paths expose fallible `try_*` APIs
+# (netlist::SimError, ml::MetricsError) with no panicking twins; their
+# non-test code must route every failure through those types so the
+# differential fuzzer can distinguish "engines disagree" from "input
+# rejected". The other files already hold no panic!/unwrap and stay
+# that way. The list only grows, toward the whole `netlist` and `analog`
+# crates.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -20,6 +23,21 @@ FILES=(
   crates/netlist/src/verify.rs
   crates/netlist/src/error.rs
   crates/netlist/src/graph.rs
+  crates/netlist/src/comb.rs
+  crates/netlist/src/ir.rs
+  crates/netlist/src/lib.rs
+  crates/netlist/src/seq.rs
+  crates/netlist/src/testbench.rs
+  crates/netlist/src/verilog.rs
+  crates/analog/src/comparator.rs
+  crates/analog/src/compile.rs
+  crates/analog/src/crossbar.rs
+  crates/analog/src/device.rs
+  crates/analog/src/lib.rs
+  crates/analog/src/svm.rs
+  crates/analog/src/transient.rs
+  crates/analog/src/tree.rs
+  crates/analog/src/variation.rs
   crates/ml/src/metrics.rs
 )
 
@@ -38,6 +56,6 @@ for f in "${FILES[@]}"; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "lint_panics: hot paths are panic-free (checked ${#FILES[@]} files)"
+  echo "lint_panics: no panic!/unwrap in non-test code (checked ${#FILES[@]} files)"
 fi
 exit "$status"

@@ -21,9 +21,11 @@
 //! * [`WideSim`] — a lane-width-generic evaluator whose net values are
 //!   `[u64; W]` blocks (64·W vectors per settle; `W = 1` and `W = 4`
 //!   are the shipped widths). The per-instruction word loop is written
-//!   so LLVM auto-vectorizes it. In-place stuck-at fault injection matches
-//!   [`crate::faults::inject`]: the faulty slot is pinned to a broadcast
-//!   word before the pass and every write to it is skipped.
+//!   so LLVM auto-vectorizes it. Per-lane values move into and out of
+//!   lane words through one 64×64 bit transpose, `transpose64`. In-place
+//!   stuck-at fault injection matches [`crate::faults::inject`]: the
+//!   faulty slot is pinned to a broadcast word before the pass and every
+//!   write to it is skipped.
 //!
 //! The tape is immutable after compilation, so one `Arc<CompiledNetlist>`
 //! is shared across all [`exec::parallel_map`] shards in
@@ -424,6 +426,44 @@ fn word_mask(w: usize, lanes: usize) -> u64 {
     }
 }
 
+/// Transposes a 64×64 bit matrix in place: bit `b` of row `l` moves to
+/// bit `l` of row `b`. Every lane pack and unpack of [`WideSim`] goes
+/// through it, one 64-lane word at a time, turning per-lane values into
+/// per-bit lane words and back. Six rounds swap the off-diagonal blocks
+/// of halving size (32, 16, …, 1) with masks and shifts, without
+/// branches.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        for block in (0..64).step_by(2 * width) {
+            for k in block..block + width {
+                let t = ((m[k] >> width) ^ m[k + width]) & mask;
+                m[k] ^= t << width;
+                m[k + width] ^= t;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// Bit-slices 64-lane word `w` of `lanes`: row `b` of the result holds
+/// bit `b` of `value` for lanes `64·w..64·w + 64`, one lane per bit.
+/// Lanes past the end of `lanes` read zero.
+fn bit_rows<T>(lanes: &[T], w: usize, value: impl Fn(&T) -> u64) -> [u64; 64] {
+    let mut rows = [0u64; 64];
+    let word = lanes.get(64 * w..).unwrap_or_default();
+    if word.is_empty() {
+        return rows;
+    }
+    for (row, lane) in rows.iter_mut().zip(word) {
+        *row = value(lane);
+    }
+    transpose64(&mut rows);
+    rows
+}
+
 /// A wide-lane evaluator over a shared [`CompiledNetlist`] tape.
 ///
 /// Each value slot holds a `[u64; W]` block: bit *k* of word *w* is the
@@ -498,22 +538,18 @@ impl<const W: usize> WideSim<W> {
                 max: Self::LANES,
             });
         }
-        let compiled = Arc::clone(&self.compiled);
-        let Some(port) = compiled.inputs.get(port_index) else {
+        let Some(port) = self.compiled.inputs.get(port_index) else {
             return Err(SimError::UnknownPort {
                 direction: "input",
                 name: format!("#{port_index}"),
             });
         };
         check_width(&port.name, port.slots.len())?;
-        for (bit, &slot) in port.slots.iter().enumerate() {
-            let mut block = [0u64; W];
-            for (lane, &v) in lane_values.iter().enumerate() {
-                if (v >> bit) & 1 == 1 {
-                    block[lane / 64] |= 1 << (lane % 64);
-                }
+        for w in 0..W {
+            let rows = bit_rows(lane_values, w, |&v| v);
+            for (&slot, &row) in port.slots.iter().zip(&rows) {
+                self.values[slot as usize][w] = row;
             }
-            self.values[slot as usize] = block;
         }
         Ok(())
     }
@@ -546,12 +582,11 @@ impl<const W: usize> WideSim<W> {
         let mut image = vec![[0u64; W]; self.compiled.input_slots.len()];
         let mut base = 0usize;
         for (pi, port) in self.compiled.inputs.iter().enumerate() {
-            for (lane, v) in chunk.iter().enumerate() {
-                let value = v[pi];
-                for bit in 0..port.slots.len() {
-                    if (value >> bit) & 1 == 1 {
-                        image[base + bit][lane / 64] |= 1 << (lane % 64);
-                    }
+            let blocks = &mut image[base..base + port.slots.len()];
+            for w in 0..chunk.len().div_ceil(64) {
+                let rows = bit_rows(chunk, w, |v| v[pi]);
+                for (block, &row) in blocks.iter_mut().zip(&rows) {
+                    block[w] = row;
                 }
             }
             base += port.slots.len();
@@ -716,25 +751,27 @@ impl<const W: usize> WideSim<W> {
         }
     }
 
-    /// Per-lane ROM evaluation for address spaces too large to expand:
-    /// assemble each lane's address scalar-wise and scatter the read
-    /// word's bits, per 64-lane word.
+    /// Per-lane ROM evaluation for address spaces too large to expand,
+    /// per 64-lane word: transpose the address words into per-lane
+    /// addresses, look each one up, and transpose the read words back
+    /// into data columns.
     fn eval_rom_per_lane(&mut self, rom: &CompiledRom) {
         let d = rom.data.len();
         for w in 0..W {
-            for lane in 0..64 {
-                let mut addr = 0usize;
-                for (bit, &aslot) in rom.addr.iter().enumerate() {
-                    if (self.values[aslot as usize][w] >> lane) & 1 == 1 {
-                        addr |= 1 << bit;
-                    }
-                }
-                let word = rom.contents.get(addr).copied().unwrap_or(0);
-                for (j, acc) in self.data_scratch[..d].iter_mut().enumerate() {
-                    if (word >> j) & 1 == 1 {
-                        acc[w] |= 1 << lane;
-                    }
-                }
+            let mut rows = self.slot_lanes(&rom.addr, w);
+            for row in rows.iter_mut() {
+                *row = rom.contents.get(*row as usize).copied().unwrap_or(0);
+            }
+            transpose64(&mut rows);
+            // Lanes with an address bit at or above 64 set are past any
+            // stored row and read zero.
+            let beyond = rom
+                .addr
+                .iter()
+                .skip(64)
+                .fold(0, |acc, &aslot| acc | self.values[aslot as usize][w]);
+            for (acc, &row) in self.data_scratch[..d].iter_mut().zip(&rows) {
+                acc[w] = row & !beyond;
             }
         }
     }
@@ -743,26 +780,36 @@ impl<const W: usize> WideSim<W> {
         self.values[slot as usize]
     }
 
-    fn read_lane(&self, slot: u32, lane: usize) -> bool {
-        (self.values[slot as usize][lane / 64] >> (lane % 64)) & 1 == 1
+    /// Per-lane values of 64-lane word `w` over the bits at `slots`
+    /// (little-endian): entry `l` is lane `64·w + l`'s value. The inverse
+    /// of [`bit_rows`]; bits past the 64th slot are not read.
+    fn slot_lanes(&self, slots: &[u32], w: usize) -> [u64; 64] {
+        let mut rows = [0u64; 64];
+        for (row, &slot) in rows.iter_mut().zip(slots) {
+            *row = self.values[slot as usize][w];
+        }
+        transpose64(&mut rows);
+        rows
     }
 
-    /// Reads output port `name` for the first `lanes` lanes, reporting an
+    /// Reads output port `name` for the first `lanes` lanes, reporting
+    /// more lanes than the engine holds as [`SimError::TooManyLanes`], an
     /// unknown name as [`SimError::UnknownPort`] and a port wider than 64
     /// bits as [`SimError::PortTooWide`].
     pub fn try_lanes(&self, name: &str, lanes: usize) -> Result<Vec<u64>, SimError> {
+        if lanes > Self::LANES {
+            return Err(SimError::TooManyLanes {
+                given: lanes,
+                max: Self::LANES,
+            });
+        }
         let port = self.compiled.output_port(name)?;
-        Ok((0..lanes)
-            .map(|lane| {
-                let mut v = 0u64;
-                for (bit, &slot) in port.slots.iter().enumerate() {
-                    if self.read_lane(slot, lane) {
-                        v |= 1 << bit;
-                    }
-                }
-                v
-            })
-            .collect())
+        let mut out = Vec::with_capacity(lanes);
+        for w in 0..lanes.div_ceil(64) {
+            let word = self.slot_lanes(&port.slots, w);
+            out.extend_from_slice(&word[..(lanes - 64 * w).min(64)]);
+        }
+        Ok(out)
     }
 
     /// Lane words of every output-port bit, flattened port-major,
@@ -900,25 +947,48 @@ mod tests {
 
     #[test]
     fn wide_roms_fall_back_to_per_lane() -> Result<(), SimError> {
-        let mut b = NetlistBuilder::new("bigrom");
-        let a = b.input("a", ROM_MASK_ADDR_LIMIT + 1);
-        let contents: Vec<u64> = (0..64u64).map(|v| v * 3 % 17).collect();
-        let d = b.rom(&a, contents, 5, RomStyle::Crossbar);
-        b.output("d", &d);
-        let m = b.finish();
-        let compiled = compile(&m)?;
-        assert_eq!(compiled.roms[0].strategy, RomStrategy::PerLane);
-        let mut sim: WideSim<1> = WideSim::new(compiled);
-        let addrs: Vec<u64> = (0..64).map(|v| v * 31 % 2048).collect();
-        sim.try_set_lanes("a", &addrs)?;
-        sim.settle();
-        let got = sim.try_lanes("d", 64)?;
-        let mut scalar = Simulator::try_new(&m)?;
-        for (lane, &v) in addrs.iter().enumerate() {
-            scalar.try_set("a", v)?;
-            scalar.settle();
-            assert_eq!(got[lane], scalar.try_get("d")?, "addr {v}");
+        fn check<const W: usize>(addr_bits: usize, lanes: usize) -> Result<(), SimError> {
+            let mut b = NetlistBuilder::new("bigrom");
+            let a = b.input("a", addr_bits);
+            let contents: Vec<u64> = (0..1000u64).map(|v| v * 3 % 17).collect();
+            let d = b.rom(&a, contents, 5, RomStyle::Crossbar);
+            b.output("d", &d);
+            let m = b.finish();
+            let compiled = compile(&m)?;
+            assert_eq!(compiled.roms[0].strategy, RomStrategy::PerLane);
+            let mut sim: WideSim<W> = WideSim::new(compiled);
+            // Addresses inside and beyond the stored rows.
+            let addrs: Vec<u64> = (0..lanes as u64)
+                .map(|v| v * 31 % (1 << addr_bits))
+                .collect();
+            sim.try_set_lanes("a", &addrs)?;
+            sim.settle();
+            let got = sim.try_lanes("d", lanes)?;
+            let mut scalar = Simulator::try_new(&m)?;
+            for (lane, &v) in addrs.iter().enumerate() {
+                scalar.try_set("a", v)?;
+                scalar.settle();
+                assert_eq!(got[lane], scalar.try_get("d")?, "W={W} addr {v}");
+            }
+            Ok(())
         }
+        check::<1>(ROM_MASK_ADDR_LIMIT + 1, 64)?;
+        check::<4>(16, 200)
+    }
+
+    #[test]
+    fn rom_addresses_past_64_bits_read_zero() -> Result<(), SimError> {
+        let mut b = NetlistBuilder::new("huge");
+        let a = b.input("a", 64);
+        let hi = b.input("hi", 1);
+        let addr: Vec<Signal> = a.iter().chain(&hi).copied().collect();
+        let d = b.rom(&addr, vec![5, 6, 7], 3, RomStyle::Crossbar);
+        b.output("d", &d);
+        let mut sim: WideSim<1> = WideSim::new(compile(&b.finish())?);
+        sim.try_set_lanes("a", &[0, 1, 2, 3, 0, 1])?;
+        sim.try_set_lanes("hi", &[0, 0, 0, 0, 1, 1])?;
+        sim.settle();
+        assert_eq!(sim.try_lanes("d", 6)?, vec![5, 6, 7, 0, 0, 0]);
         Ok(())
     }
 
@@ -1133,5 +1203,139 @@ mod tests {
         sim.settle();
         assert_eq!(sim.output_words(1), vec![0; 65]);
         Ok(())
+    }
+
+    #[test]
+    fn transpose64_matches_a_naive_transpose() {
+        fn naive(m: &[u64; 64]) -> [u64; 64] {
+            let mut t = [0u64; 64];
+            for (l, &row) in m.iter().enumerate() {
+                for (b, out) in t.iter_mut().enumerate() {
+                    *out |= ((row >> b) & 1) << l;
+                }
+            }
+            t
+        }
+        let mut cases: Vec<[u64; 64]> = Vec::new();
+        cases.push(std::array::from_fn(|l| 1 << l));
+        for (l, b) in [(0, 0), (0, 63), (63, 0), (63, 63), (5, 40), (40, 5)] {
+            let mut m = [0u64; 64];
+            m[l] = 1 << b;
+            cases.push(m);
+        }
+        let mut rng = exec::rng::StdRng::seed_from_u64(14);
+        for _ in 0..32 {
+            cases.push(std::array::from_fn(|_| rng.next_u64()));
+        }
+        for m in cases {
+            let mut t = m;
+            transpose64(&mut t);
+            assert_eq!(t, naive(&m));
+            transpose64(&mut t);
+            assert_eq!(t, m, "a transpose is its own inverse");
+        }
+    }
+
+    /// The per-bit lane scatter the transpose replaced: bit `b` of
+    /// `values[lane]` into bit `lane % 64` of word `lane / 64` of block
+    /// `b`, for the first `width` bits.
+    fn reference_scatter<const W: usize>(values: &[u64], width: usize) -> Vec<[u64; W]> {
+        let mut blocks = vec![[0u64; W]; width];
+        for (lane, &v) in values.iter().enumerate() {
+            for (bit, block) in blocks.iter_mut().enumerate() {
+                if (v >> bit) & 1 == 1 {
+                    block[lane / 64] |= 1 << (lane % 64);
+                }
+            }
+        }
+        blocks
+    }
+
+    fn check_lane_packing<const W: usize>() -> Result<(), SimError> {
+        const WIDTHS: [usize; 5] = [1, 7, 32, 63, 64];
+        let mut b = NetlistBuilder::new("ports");
+        for (i, &width) in WIDTHS.iter().enumerate() {
+            let x = b.input(format!("x{i}"), width);
+            b.output(format!("o{i}"), &x);
+        }
+        let compiled = compile(&b.finish())?;
+        let mut rng = exec::rng::StdRng::seed_from_u64(W as u64);
+        for lanes in [0, 1, 63, 64, 65, 200, WideSim::<W>::LANES] {
+            if lanes > WideSim::<W>::LANES {
+                continue;
+            }
+            // Full 64-bit draws: every port narrower than 64 bits gets
+            // values with bits set above its width.
+            let chunk: Vec<Vec<u64>> = (0..lanes)
+                .map(|_| WIDTHS.iter().map(|_| rng.next_u64()).collect())
+                .collect();
+            let columns: Vec<Vec<u64>> = (0..WIDTHS.len())
+                .map(|pi| chunk.iter().map(|v| v[pi]).collect())
+                .collect();
+            let want: Vec<[u64; W]> = WIDTHS
+                .iter()
+                .zip(&columns)
+                .flat_map(|(&width, col)| reference_scatter::<W>(col, width))
+                .collect();
+
+            let mut packed = WideSim::<W>::new(Arc::clone(&compiled));
+            let image = packed.try_pack_vectors(&chunk)?;
+            assert_eq!(image, want, "pack: W={W} lanes={lanes}");
+            packed.try_load_packed(&image)?;
+            // Every block of a driven slot is overwritten, stale lanes too.
+            let mut set = WideSim::<W>::new(Arc::clone(&compiled));
+            set.values.iter_mut().for_each(|v| *v = [u64::MAX; W]);
+            for (pi, col) in columns.iter().enumerate() {
+                set.try_set_lanes(&format!("x{pi}"), col)?;
+            }
+            for sim in [&mut packed, &mut set] {
+                let loaded: Vec<[u64; W]> = compiled
+                    .input_slots
+                    .iter()
+                    .map(|&slot| sim.values[slot as usize])
+                    .collect();
+                assert_eq!(loaded, want, "load/set: W={W} lanes={lanes}");
+                sim.settle();
+                for (pi, (&width, col)) in WIDTHS.iter().zip(&columns).enumerate() {
+                    let mask = if width == 64 {
+                        u64::MAX
+                    } else {
+                        (1 << width) - 1
+                    };
+                    let masked: Vec<u64> = col.iter().map(|v| v & mask).collect();
+                    assert_eq!(sim.try_lanes(&format!("o{pi}"), lanes)?, masked);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn lane_packing_matches_the_per_bit_scatter() -> Result<(), SimError> {
+        check_lane_packing::<1>()?;
+        check_lane_packing::<4>()
+    }
+
+    #[test]
+    fn reading_more_lanes_than_the_engine_holds_is_an_error() -> Result<(), SimError> {
+        fn check<const W: usize>(m: &Module) -> Result<(), SimError> {
+            let sim: WideSim<W> = WideSim::new(compile(m)?);
+            let lanes = WideSim::<W>::LANES;
+            assert_eq!(sim.try_lanes("o", lanes)?, vec![0; lanes]);
+            assert_eq!(
+                sim.try_lanes("o", lanes + 1),
+                Err(SimError::TooManyLanes {
+                    given: lanes + 1,
+                    max: lanes
+                })
+            );
+            Ok(())
+        }
+        let mut b = NetlistBuilder::new("one");
+        let x = b.input("x", 1);
+        b.output("o", &[x[0]]);
+        let m = b.finish();
+        check::<1>(&m)?;
+        check::<4>(&m)
     }
 }
