@@ -298,7 +298,7 @@ pub fn system_level() -> Table {
     t
 }
 
-/// All ablations bundled for the `ablations` binary.
+/// All ablations bundled as `repro_all`'s `ablations` experiment.
 pub fn ablations() -> Vec<Table> {
     vec![
         ablation_bitwidth(),

@@ -2,16 +2,21 @@
 
 //! # bench — the evaluation harness
 //!
-//! One binary per table and figure of the paper's evaluation section, plus
-//! Criterion micro-benchmarks over the generator pipeline. Each binary
-//! prints the same rows/series the paper reports and (optionally, with
-//! `--json PATH`) dumps machine-readable results for EXPERIMENTS.md.
+//! One regenerator per table and figure of the paper's evaluation section
+//! ([`experiments`]), each printing the same rows/series the paper
+//! reports. Two binaries drive them:
 //!
-//! Run them all with:
+//! - `repro_all` runs every experiment in one parallel, cached pass and
+//!   (with `--json PATH`) dumps machine-readable results for
+//!   EXPERIMENTS.md;
+//! - `cnt_variants` prints the CNT-TFT counterparts the paper quotes as
+//!   "(not shown)".
 //!
 //! ```text
-//! cargo run --release -p bench --bin repro_all
+//! cargo run --release -p bench --bin repro_all -- [--smoke] [--json PATH]
 //! ```
+//!
+//! Performance is measured by the separate `perfbench/` package.
 
 use std::fmt;
 
@@ -102,22 +107,6 @@ pub fn fmt3(x: f64) -> String {
 /// Formats an improvement ratio the way the paper writes them ("48.9x").
 pub fn fmt_ratio(x: f64) -> String {
     format!("{}x", fmt3(x))
-}
-
-/// Writes tables as JSON when the caller passed `--json PATH`.
-///
-/// # Panics
-/// Panics if the file cannot be written.
-pub fn maybe_write_json(tables: &[Table]) {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            let path = args.next().expect("--json requires a path");
-            let body = serde_json::to_string_pretty(tables).expect("serialize tables");
-            std::fs::write(&path, body).expect("write json");
-            eprintln!("wrote {path}");
-        }
-    }
 }
 
 #[cfg(test)]

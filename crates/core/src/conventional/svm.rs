@@ -54,8 +54,9 @@ pub fn generate(spec: &SvmSpec) -> Module {
 /// Register-free variant of [`generate`]: the identical multiplier
 /// array, adder tree and class mapper, but features, coefficients and
 /// boundaries feed the datapath directly. The combinational core is the
-/// workload the simulation throughput benchmark (`sim_bench`) replays,
-/// since the batch kernels are combinational-only.
+/// vector stream perfbench's `signoff` workload replays (and the
+/// real-design engine check in `tests/properties.rs` runs), since the
+/// batch kernels are combinational-only.
 pub fn generate_combinational(spec: &SvmSpec) -> Module {
     generate_inner(spec, false)
 }

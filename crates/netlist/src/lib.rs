@@ -71,7 +71,7 @@ pub use error::SimError;
 pub use fanout::{fanout_histogram, insert_buffers, max_fanout};
 pub use faults::{try_coverage as try_fault_coverage, Fault, FaultCoverage};
 pub use ir::{Gate, Module, NetId, Port, RomInstance, Signal};
-pub use opt::{cumulative_stats, optimize, optimize_with_stats, OptCumulative, OptStats};
+pub use opt::optimize;
 pub use sim::Simulator;
 pub use stats::{logic_levels, max_logic_levels};
 pub use testbench::to_testbench;

@@ -35,14 +35,13 @@ use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 use pdk::CellKind;
-use serde::Serialize;
 
 use crate::graph::{Driver, Graph};
 use crate::ir::{Gate, Module, NetId, Signal};
 
 /// Statistics from one [`optimize_with_stats`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct OptStats {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OptStats {
     /// Gates in the input module.
     pub gates_in: usize,
     /// Gates in the optimized module.
@@ -67,41 +66,6 @@ impl OptStats {
     pub fn rewrites(&self) -> usize {
         self.aliased + self.rewritten + self.merged
     }
-
-    /// Input gates processed per second.
-    pub fn gates_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.gates_in as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Process-wide cumulative optimizer statistics (see [`cumulative_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct OptCumulative {
-    /// Number of `optimize` calls.
-    pub calls: u64,
-    /// Total gates across all input modules.
-    pub gates_in: u64,
-    /// Total gates across all optimized modules.
-    pub gates_out: u64,
-    /// Total rewrite-rule applications.
-    pub rewrites: u64,
-    /// Total wall-clock seconds spent optimizing.
-    pub seconds: f64,
-}
-
-impl OptCumulative {
-    /// Aggregate throughput: input gates per optimizer second.
-    pub fn gates_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.gates_in as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Process-wide optimizer metrics, kept in the [`obs`] observability
@@ -112,21 +76,6 @@ static OPT_GATES_IN: obs::Counter = obs::Counter::new("netlist.opt.gates_in");
 static OPT_GATES_OUT: obs::Counter = obs::Counter::new("netlist.opt.gates_out");
 static OPT_REWRITES: obs::Counter = obs::Counter::new("netlist.opt.rewrites");
 static OPT_NS: obs::Counter = obs::Counter::new("netlist.opt.ns");
-
-/// Cumulative statistics over every [`optimize`] call in this process,
-/// across all threads — a snapshot of the `netlist.opt.*` [`obs`]
-/// counters (zeros while `obs::set_enabled(false)` suppresses
-/// collection). `repro_all --json` reports this as its `optimizer`
-/// section alongside the unified obs `report`.
-pub fn cumulative_stats() -> OptCumulative {
-    OptCumulative {
-        calls: OPT_CALLS.get(),
-        gates_in: OPT_GATES_IN.get(),
-        gates_out: OPT_GATES_OUT.get(),
-        rewrites: OPT_REWRITES.get(),
-        seconds: OPT_NS.get() as f64 * 1e-9,
-    }
-}
 
 /// Optimizes `module` to a fixpoint and returns the result.
 ///
@@ -159,7 +108,7 @@ pub fn optimize(module: &Module) -> Module {
 }
 
 /// Like [`optimize`], additionally returning per-call [`OptStats`].
-pub fn optimize_with_stats(module: &Module) -> (Module, OptStats) {
+pub(crate) fn optimize_with_stats(module: &Module) -> (Module, OptStats) {
     let _span = obs::span("netlist.optimize");
     let start = Instant::now();
     let mut engine = Engine::new(module);
@@ -180,6 +129,12 @@ pub fn optimize_with_stats(module: &Module) -> (Module, OptStats) {
     OPT_REWRITES.add(stats.rewrites() as u64);
     OPT_NS.add((stats.seconds * 1e9) as u64);
     debug_assert!(m.validate().is_ok(), "optimizer produced invalid module");
+    // Gates leave only by aliasing, merging or the dead sweep; in-place
+    // rewrites may add helper inverters, never remove gates.
+    debug_assert!(
+        stats.aliased + stats.merged + stats.dead >= stats.gates_in.saturating_sub(stats.gates_out),
+        "optimizer stats miss removed gates: {stats:?}"
+    );
     #[cfg(debug_assertions)]
     assert_fixpoint(&m);
     (m, stats)
@@ -950,7 +905,7 @@ mod tests {
         let le = unsigned_le(&mut b, &x, &tau);
         b.output("le", &[le]);
         let original = b.finish();
-        let before = cumulative_stats();
+        let (calls_before, gates_in_before) = (OPT_CALLS.get(), OPT_GATES_IN.get());
         let (optimized, stats) = optimize_with_stats(&original);
         assert_eq!(stats.gates_in, original.gate_count());
         assert_eq!(stats.gates_out, optimized.gate_count());
@@ -960,9 +915,8 @@ mod tests {
         // place and helper inverters stay. The counters must cover at
         // least the net shrink.
         assert!(stats.aliased + stats.merged + stats.dead >= stats.gates_in - stats.gates_out);
-        let after = cumulative_stats();
-        assert!(after.calls > before.calls);
-        assert!(after.gates_in >= before.gates_in + stats.gates_in as u64);
+        assert!(OPT_CALLS.get() > calls_before);
+        assert!(OPT_GATES_IN.get() >= gates_in_before + stats.gates_in as u64);
     }
 }
 

@@ -22,7 +22,7 @@
 //! * [`exec`] — the deterministic parallel execution substrate (work
 //!   pool, seed streams, PRNG) every Monte Carlo sweep runs on;
 //! * [`obs`] — the unified observability layer (span timers, counters,
-//!   gauges and the `obs-report-v1` report every bench binary emits);
+//!   gauges and the `obs-report-v1` report `repro_all --json` emits);
 //! * [`cache`] — the content-addressed artifact cache memoizing trained
 //!   models, optimized netlists and PPA results across runs (opt-in;
 //!   see `docs/caching.md`).

@@ -350,6 +350,90 @@ fn wide_sim_matches_scalar_at_boundary_lane_counts() -> Result<(), SimError> {
     Ok(())
 }
 
+/// The compiled engines agree on generated classifier netlists, not only
+/// on random circuits: a bespoke depth-4 HAR tree and the conventional
+/// SVM-16 datapath (the largest module the harness simulates). A
+/// 300-vector stream crosses the 256-lane boundary with a partial word;
+/// `WideSim<1>` and `WideSim<4>` must read the same outputs on every
+/// vector, and the scalar `Simulator` must agree on the first 64.
+#[test]
+fn wide_sim_matches_scalar_on_real_designs() -> Result<(), SimError> {
+    use printed_ml::core::bespoke::bespoke_parallel_raw;
+    use printed_ml::core::conventional::svm::{generate_combinational, SvmSpec};
+    use printed_ml::core::flow::TreeFlow;
+    use printed_ml::ml::synth::Application;
+    use printed_ml::netlist::{CompiledNetlist, Module, WideSim};
+    use std::sync::Arc;
+
+    /// Per-vector output rows of `module` on a `WideSim<W>`, loaded one
+    /// packed image per `LANES` vectors.
+    fn wide_rows<const W: usize>(
+        module: &Module,
+        compiled: &Arc<CompiledNetlist>,
+        vectors: &[Vec<u64>],
+    ) -> Result<Vec<Vec<u64>>, SimError> {
+        let mut sim: WideSim<W> = WideSim::new(Arc::clone(compiled));
+        let mut rows = Vec::with_capacity(vectors.len());
+        for chunk in vectors.chunks(WideSim::<W>::LANES) {
+            let image = sim.try_pack_vectors(chunk)?;
+            sim.try_load_packed(&image)?;
+            sim.settle();
+            let cols = module
+                .outputs
+                .iter()
+                .map(|p| sim.try_lanes(&p.name, chunk.len()))
+                .collect::<Result<Vec<_>, _>>()?;
+            rows.extend((0..chunk.len()).map(|lane| cols.iter().map(|c| c[lane]).collect()));
+        }
+        Ok(rows)
+    }
+
+    let tree = bespoke_parallel_raw(&TreeFlow::new(Application::Har, 4, 7).qt);
+    let svm16 = generate_combinational(&SvmSpec::conventional(16));
+    for (case, module) in [tree, svm16].iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(task_seed(0xB15_000E, case as u64));
+        let vectors: Vec<Vec<u64>> = (0..300)
+            .map(|_| {
+                module
+                    .inputs
+                    .iter()
+                    .map(|p| match p.width() {
+                        w if w >= 64 => rng.next_u64(),
+                        w => rng.next_u64() & ((1u64 << w) - 1),
+                    })
+                    .collect()
+            })
+            .collect();
+        let compiled = Arc::new(CompiledNetlist::try_compile(module)?);
+        let narrow = wide_rows::<1>(module, &compiled, &vectors)?;
+        let wide = wide_rows::<4>(module, &compiled, &vectors)?;
+        for (i, (n, w)) in narrow.iter().zip(&wide).enumerate() {
+            assert_eq!(
+                n, w,
+                "{}: vector {i}, WideSim<1> vs WideSim<4>",
+                module.name
+            );
+        }
+        let mut scalar = Simulator::try_new(module)?;
+        for (i, v) in vectors.iter().take(64).enumerate() {
+            for (port, &value) in module.inputs.iter().zip(v) {
+                scalar.try_set(&port.name, value)?;
+            }
+            scalar.settle();
+            for (port, &got) in module.outputs.iter().zip(&narrow[i]) {
+                assert_eq!(
+                    got,
+                    scalar.try_get(&port.name)?,
+                    "{}: vector {i}, output {} vs the scalar simulator",
+                    module.name,
+                    port.name
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 /// In-place fault injection in the compiled kernel must behave exactly
 /// like structurally rewriting the netlist (`faults::inject`) and
 /// simulating the mutated module scalar-style — at every boundary lane
