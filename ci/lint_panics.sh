@@ -6,8 +6,9 @@
 # non-test code must route every failure through those types so the
 # differential fuzzer can distinguish "engines disagree" from "input
 # rejected". The other files already hold no panic!/unwrap and stay
-# that way. The list only grows, toward the whole `netlist` and `analog`
-# crates.
+# that way: among them the printed-core generators built on the shared
+# tree and SVM emitters (`emit.rs`). The list only grows, toward the
+# whole `netlist` and `analog` crates.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -39,6 +40,13 @@ FILES=(
   crates/analog/src/tree.rs
   crates/analog/src/variation.rs
   crates/ml/src/metrics.rs
+  crates/core/src/emit.rs
+  crates/core/src/bespoke/parallel_tree.rs
+  crates/core/src/bespoke/svm.rs
+  crates/core/src/lookup/tree.rs
+  crates/core/src/lookup/svm.rs
+  crates/core/src/ensemble.rs
+  crates/core/src/extension/serial_svm.rs
 )
 
 status=0

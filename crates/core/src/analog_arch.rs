@@ -57,12 +57,9 @@ pub fn analog_svm_report(svm: &QuantizedSvm, n_features: usize) -> DesignReport 
 mod tests {
     use super::*;
     use crate::bespoke::{bespoke_parallel, bespoke_svm};
+    use crate::emit::fixtures;
     use crate::report::report_from_ppa;
-    use ml::data::Standardizer;
-    use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
-    use ml::tree::{DecisionTree, TreeParams};
-    use ml::SvmRegressor;
     use netlist::analyze;
     use pdk::CellLibrary;
 
@@ -71,11 +68,7 @@ mod tests {
         // Fig. 16: 437× area, 27× power, ~1.6× slower (EGT averages).
         // Band check: two orders of magnitude in area, one in power,
         // slower in latency.
-        let data = Application::Pendigits.generate(7);
-        let (train, _) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(8));
-        let fq = FeatureQuantizer::fit(&train, 8);
-        let qt = QuantizedTree::from_tree(&tree, &fq);
+        let (qt, _, _) = fixtures::tree(Application::Pendigits, 8, 8);
         let lib = CellLibrary::for_technology(Technology::Egt);
         let digital = report_from_ppa(
             "bespoke",
@@ -98,13 +91,7 @@ mod tests {
     #[test]
     fn analog_svm_dominates_digital_bespoke() {
         // Fig. 17: 490× area, 12× power, ~1.3× slower (EGT averages).
-        let data = Application::RedWine.generate(7);
-        let (train, _) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let train = s.transform(&train);
-        let svm = SvmRegressor::fit(&train, 200, 1e-4);
-        let fq = FeatureQuantizer::fit(&train, 8);
-        let qs = QuantizedSvm::from_svm(&svm, &fq);
+        let (qs, _, _) = fixtures::svm(Application::RedWine, 8);
         let lib = CellLibrary::for_technology(Technology::Egt);
         let digital = report_from_ppa(
             "bespoke",
@@ -127,11 +114,7 @@ mod tests {
     fn analog_designs_are_harvester_class() {
         // Fig. 19: "Harvesters are now capable of powering several
         // decision trees."
-        let data = Application::Har.generate(7);
-        let (train, _) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(4));
-        let fq = FeatureQuantizer::fit(&train, 4);
-        let qt = QuantizedTree::from_tree(&tree, &fq);
+        let (qt, _, _) = fixtures::tree(Application::Har, 4, 4);
         let report = analog_tree_report(&qt, AnalogTreeConfig::default());
         let f = report.feasibility();
         assert!(f.is_powerable());

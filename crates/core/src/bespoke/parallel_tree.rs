@@ -9,19 +9,11 @@
 //! trees in EGT, and — unlike the conventional case — *strictly better*
 //! than its serial sibling.
 
-use ml::quant::{QNode, QuantizedTree};
-use netlist::builder::NetlistBuilder;
-use netlist::comb::unsigned_gt;
-use netlist::ir::{Module, Signal};
+use ml::quant::QuantizedTree;
+use netlist::ir::Module;
 use netlist::optimize;
 
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
+use crate::ensemble::ForestStyle;
 
 /// Generates the bespoke parallel tree for `tree` (post-optimization).
 ///
@@ -36,78 +28,20 @@ pub fn bespoke_parallel(tree: &QuantizedTree) -> Module {
 /// `--verify` flow equivalence-checks [`bespoke_parallel`]'s rewritten
 /// netlist against this structural original.
 pub fn bespoke_parallel_raw(tree: &QuantizedTree) -> Module {
-    let mut b = NetlistBuilder::new("bespoke_parallel_tree");
-    let used = tree.used_features();
-    let feature_ports: Vec<Vec<Signal>> = used
-        .iter()
-        .enumerate()
-        .map(|(slot, _)| b.input(format!("f{slot}"), tree.bits()))
-        .collect();
-    let slot_of = |feature: usize| {
-        used.iter()
-            .position(|&f| f == feature)
-            .expect("used feature")
-    };
-    let class_bits = ceil_log2(tree.n_classes());
-
-    fn emit(
-        b: &mut NetlistBuilder,
-        tree: &QuantizedTree,
-        node: usize,
-        feature_ports: &[Vec<Signal>],
-        slot_of: &dyn Fn(usize) -> usize,
-        class_bits: usize,
-    ) -> Vec<Signal> {
-        match &tree.nodes()[node] {
-            QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-            QNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                let x = &feature_ports[slot_of(*feature)];
-                let tau = b.const_word(*threshold, x.len());
-                b.push_region("compare");
-                let r = unsigned_gt(b, x, &tau);
-                b.pop_region();
-                let l = emit(b, tree, *left, feature_ports, slot_of, class_bits);
-                let rgt = emit(b, tree, *right, feature_ports, slot_of, class_bits);
-                b.push_region("select");
-                let out = b.mux_word(r, &l, &rgt);
-                b.pop_region();
-                out
-            }
-        }
-    }
-    let class = emit(&mut b, tree, 0, &feature_ports, &slot_of, class_bits);
-    b.output("class", &class);
-    b.finish()
+    crate::emit::tree_engine("bespoke_parallel_tree", tree, ForestStyle::Bespoke)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conventional::parallel_tree::{generate as gen_conv, ParallelTreeSpec};
+    use crate::emit::fixtures::{assert_class, tree as setup, tree_inputs};
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
     use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use netlist::SimError;
     use pdk::{CellLibrary, Technology};
-
-    fn setup(
-        app: Application,
-        depth: usize,
-        bits: usize,
-    ) -> (QuantizedTree, FeatureQuantizer, ml::Dataset) {
-        let data = app.generate(7);
-        let (train, test) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&train, bits);
-        (QuantizedTree::from_tree(&tree, &fq), fq, test)
-    }
 
     fn check_equivalence(
         app: Application,
@@ -117,17 +51,9 @@ mod tests {
     ) -> Result<(), SimError> {
         let (qt, fq, test) = setup(app, depth, bits);
         let module = bespoke_parallel(&qt);
-        let mut sim = Simulator::try_new(&module)?;
-        let used = qt.used_features();
-        for row in test.x.iter().take(samples) {
-            let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.try_set(&format!("f{slot}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
-        }
-        Ok(())
+        assert_class(&module, &tree_inputs(&qt), &fq, &test, samples, |c| {
+            qt.predict(c)
+        })
     }
 
     #[test]

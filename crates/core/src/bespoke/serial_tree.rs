@@ -13,6 +13,7 @@ use netlist::optimize;
 use pdk::rom::RomStyle;
 
 use crate::conventional::serial_tree::{generate, program, SerialTreeSpec};
+use crate::emit::ceil_log2;
 
 /// Derives the bespoke engine dimensions for a trained tree.
 pub fn bespoke_spec(tree: &QuantizedTree) -> SerialTreeSpec {
@@ -32,14 +33,6 @@ pub fn bespoke_spec(tree: &QuantizedTree) -> SerialTreeSpec {
     }
 }
 
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
-
 /// Generates the bespoke serial engine for `tree` and runs logic
 /// optimization over it.
 pub fn bespoke_serial(tree: &QuantizedTree) -> (SerialTreeSpec, Module) {
@@ -54,44 +47,41 @@ pub fn bespoke_serial(tree: &QuantizedTree) -> (SerialTreeSpec, Module) {
 mod tests {
     use super::*;
     use crate::conventional::serial_tree::SerialTreeSpec as Spec;
+    use crate::emit::fixtures::{run_rows, tree as setup, tree_inputs};
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
-    use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
-    fn setup(
-        app: Application,
-        depth: usize,
-        bits: usize,
-    ) -> (QuantizedTree, FeatureQuantizer, ml::Dataset) {
-        let data = app.generate(7);
-        let (train, test) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&train, bits);
-        (QuantizedTree::from_tree(&tree, &fq), fq, test)
+    /// Runs `qt`'s bespoke serial engine for its depth on `rows` rows of
+    /// `test` and checks its class against the software tree.
+    fn check_serial(
+        qt: &QuantizedTree,
+        fq: &FeatureQuantizer,
+        test: &ml::Dataset,
+        rows: usize,
+    ) -> Result<Spec, SimError> {
+        let (spec, module) = bespoke_serial(qt);
+        run_rows(
+            &module,
+            &tree_inputs(qt),
+            spec.depth,
+            fq,
+            test,
+            rows,
+            |sim, codes| {
+                assert_eq!(sim.try_get("class")? as usize, qt.predict(codes));
+                Ok(())
+            },
+        )?;
+        Ok(spec)
     }
 
     #[test]
     fn bespoke_serial_matches_software_tree() -> Result<(), SimError> {
         let (qt, fq, test) = setup(Application::RedWine, 4, 8);
-        let (spec, module) = bespoke_serial(&qt);
-        let mut sim = Simulator::try_new(&module)?;
-        let used = qt.used_features();
-        for row in test.x.iter().take(120) {
-            let codes = fq.code_row(row);
-            sim.reset();
-            for (slot, &f) in used.iter().enumerate() {
-                sim.try_set(&format!("f{slot}"), codes[f])?;
-            }
-            for _ in 0..spec.depth {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
-        }
+        check_serial(&qt, &fq, &test, 120)?;
         Ok(())
     }
 
@@ -132,22 +122,7 @@ mod tests {
     #[test]
     fn narrow_width_trees_build_and_verify() -> Result<(), SimError> {
         let (qt, fq, test) = setup(Application::Har, 2, 4);
-        let (spec, module) = bespoke_serial(&qt);
-        assert_eq!(spec.width, 4);
-        let mut sim = Simulator::try_new(&module)?;
-        let used = qt.used_features();
-        for row in test.x.iter().take(60) {
-            let codes = fq.code_row(row);
-            sim.reset();
-            for (slot, &f) in used.iter().enumerate() {
-                sim.try_set(&format!("f{slot}"), codes[f])?;
-            }
-            for _ in 0..spec.depth {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
-        }
+        assert_eq!(check_serial(&qt, &fq, &test, 60)?.width, 4);
         Ok(())
     }
 }

@@ -14,6 +14,8 @@ use netlist::ir::{Module, Signal};
 use netlist::seq::shift_register;
 use pdk::rom::RomStyle;
 
+use crate::emit::ceil_log2;
+
 /// Structural parameters of a serial tree engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SerialTreeSpec {
@@ -77,7 +79,7 @@ pub struct SerialTreeProgram {
 /// outside the engine's mux, or a class outside `class_bits`.
 pub fn program(tree: &QuantizedTree, spec: &SerialTreeSpec) -> SerialTreeProgram {
     assert!(tree.depth() <= spec.depth, "tree deeper than engine");
-    let fbits = feature_bits(spec.n_features);
+    let fbits = ceil_log2(spec.n_features);
     let max_tau = (1u64 << spec.tau_bits) - 1;
     let mut threshold_rom = vec![max_tau; 1 << (spec.depth + 1)];
     let (splits, leaves) = tree.heap_layout();
@@ -117,15 +119,6 @@ pub fn program(tree: &QuantizedTree, spec: &SerialTreeSpec) -> SerialTreeProgram
     }
 }
 
-/// Feature-select field width.
-fn feature_bits(n_features: usize) -> usize {
-    if n_features <= 1 {
-        1
-    } else {
-        (usize::BITS - (n_features - 1).leading_zeros()) as usize
-    }
-}
-
 /// Generates the serial tree engine netlist.
 ///
 /// Ports: inputs `f0..f{n-1}` (one per feature, `width` bits) and a
@@ -134,7 +127,7 @@ fn feature_bits(n_features: usize) -> usize {
 pub fn generate(spec: &SerialTreeSpec, prog: &SerialTreeProgram) -> Module {
     let _span = obs::span("gen.conv_serial_tree");
     let mut b = NetlistBuilder::new(format!("serial_tree_d{}", spec.depth));
-    let fbits = feature_bits(spec.n_features);
+    let fbits = ceil_log2(spec.n_features);
 
     // Feature inputs (optionally registered).
     let mut features: Vec<Vec<Signal>> = (0..spec.n_features)
@@ -189,64 +182,44 @@ pub fn generate(spec: &SerialTreeSpec, prog: &SerialTreeProgram) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml::quant::{FeatureQuantizer, QuantizedTree};
+    use crate::emit::fixtures::{run_rows, tree as setup, tree_inputs};
+    use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
-    use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
-    fn setup(
-        app: Application,
-        depth: usize,
-        bits: usize,
-    ) -> (QuantizedTree, FeatureQuantizer, ml::Dataset) {
-        let data = app.generate(7);
-        let (train, test) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&train, bits);
-        (QuantizedTree::from_tree(&tree, &fq), fq, test)
-    }
-
-    /// Runs one inference on the engine simulator.
-    fn infer(
-        sim: &mut Simulator,
+    /// Loads `qt` into the depth-4 conventional engine and checks `done`
+    /// and the class against the software tree on `rows` rows of `test`.
+    /// Unused mux slots read zero (ports default to 0).
+    fn check_engine(
         qt: &QuantizedTree,
-        codes: &[u64],
-        depth: usize,
-    ) -> Result<u64, SimError> {
-        sim.reset();
-        let used = qt.used_features();
-        for (slot, &f) in used.iter().enumerate() {
-            sim.try_set(&format!("f{slot}"), codes[f])?;
-        }
-        // Unused mux slots read zero by default (ports default to 0).
-        for _ in 0..depth {
-            sim.step();
-        }
-        sim.settle();
-        assert_eq!(
-            sim.try_get("done")?,
-            1,
-            "done must assert after depth cycles"
-        );
-        sim.try_get("class")
+        fq: &FeatureQuantizer,
+        test: &ml::Dataset,
+        rows: usize,
+    ) -> Result<(), SimError> {
+        let spec = SerialTreeSpec::conventional(4);
+        let module = generate(&spec, &program(qt, &spec));
+        run_rows(
+            &module,
+            &tree_inputs(qt),
+            4,
+            fq,
+            test,
+            rows,
+            |sim, codes| {
+                let done = sim.try_get("done")?;
+                assert_eq!(done, 1, "done must assert after depth cycles");
+                assert_eq!(sim.try_get("class")? as usize, qt.predict(codes));
+                Ok(())
+            },
+        )
     }
 
     #[test]
     fn serial_engine_matches_software_tree() -> Result<(), SimError> {
         let (qt, fq, test) = setup(Application::Cardio, 4, 8);
-        let spec = SerialTreeSpec::conventional(4);
-        let prog = program(&qt, &spec);
-        let module = generate(&spec, &prog);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in test.x.iter().take(120) {
-            let codes = fq.code_row(row);
-            let hw = infer(&mut sim, &qt, &codes, 4)?;
-            assert_eq!(hw as usize, qt.predict(&codes));
-        }
-        Ok(())
+        check_engine(&qt, &fq, &test, 120)
     }
 
     #[test]
@@ -255,18 +228,7 @@ mod tests {
         // under a leaf" ROM filling.
         let (qt, fq, test) = setup(Application::Har, 4, 8);
         assert!(qt.comparison_count() < 15, "want an unbalanced tree");
-        let spec = SerialTreeSpec::conventional(4);
-        let prog = program(&qt, &spec);
-        let module = generate(&spec, &prog);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in test.x.iter().take(120) {
-            let codes = fq.code_row(row);
-            assert_eq!(
-                infer(&mut sim, &qt, &codes, 4)? as usize,
-                qt.predict(&codes)
-            );
-        }
-        Ok(())
+        check_engine(&qt, &fq, &test, 120)
     }
 
     #[test]

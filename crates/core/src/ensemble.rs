@@ -2,57 +2,21 @@
 //!
 //! §III: "Decision Trees are the kernel of a Random Forest ensemble; any
 //! optimization for Decision Trees is a natural optimization for Random
-//! Forests." This module composes the bespoke parallel tree generator into
-//! a full ensemble engine: every member tree evaluates concurrently, a
-//! per-class one-hot vote counter tallies the outputs, and an
-//! ascending-scan argmax picks the majority class (ties to the lowest
+//! Forests." This module runs the parallel trees' own emitter over every
+//! member tree into a full ensemble engine: every member tree evaluates
+//! concurrently, a per-class one-hot vote counter tallies the outputs, and
+//! an ascending-scan argmax picks the majority class (ties to the lowest
 //! class index, matching [`ml::quant::QuantizedForest::predict`]).
 
-use std::collections::HashMap;
-
-use ml::quant::{QNode, QuantizedForest, QuantizedTree};
+use ml::quant::QuantizedForest;
 use netlist::builder::NetlistBuilder;
 use netlist::comb::{equals, unsigned_gt};
 use netlist::ir::{Module, Signal};
 use netlist::optimize;
 
 use crate::conventional::svm::popcount;
-use crate::lookup::{emit_lut, LookupConfig};
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
-
-/// Emits one bespoke tree's class word (shared with the parallel-tree
-/// generator's structure, but against a shared feature-port map).
-fn emit_tree(
-    b: &mut NetlistBuilder,
-    tree: &QuantizedTree,
-    node: usize,
-    ports: &std::collections::HashMap<usize, Vec<Signal>>,
-    class_bits: usize,
-) -> Vec<Signal> {
-    match &tree.nodes()[node] {
-        QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-        QNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => {
-            let x = ports[feature].clone();
-            let tau = b.const_word(*threshold, x.len());
-            let r = unsigned_gt(b, &x, &tau);
-            let l = emit_tree(b, tree, *left, ports, class_bits);
-            let rgt = emit_tree(b, tree, *right, ports, class_bits);
-            b.mux_word(r, &l, &rgt)
-        }
-    }
-}
+use crate::emit::{ceil_log2, tree_classes, Ports};
+use crate::lookup::LookupConfig;
 
 /// Comparator implementation of a forest engine's decision nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,96 +41,22 @@ pub fn bespoke_forest(forest: &QuantizedForest) -> Module {
 
 /// Generates a random-forest engine with the chosen comparator style.
 pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
+    let _span = obs::span("gen.forest");
     let mut b = NetlistBuilder::new(match style {
         ForestStyle::Bespoke => "bespoke_forest",
         ForestStyle::Lookup(_) => "lookup_forest",
     });
     let class_bits = ceil_log2(forest.n_classes());
-    let ports: std::collections::HashMap<usize, Vec<Signal>> = forest
+    let ports: Ports = forest
         .used_features()
         .into_iter()
-        .map(|f| {
-            let port = b.input(format!("f{f}"), forest.bits());
-            (f, port)
-        })
+        .map(|f| (f, b.input(format!("f{f}"), forest.bits())))
         .collect();
 
-    // Every tree evaluates concurrently.
+    // Every tree evaluates concurrently; a lookup forest shares one
+    // decoder per feature across all member trees.
     b.push_region("trees");
-    let tree_classes: Vec<Vec<Signal>> = match style {
-        ForestStyle::Bespoke => forest
-            .trees()
-            .iter()
-            .map(|t| emit_tree(&mut b, t, 0, &ports, class_bits))
-            .collect(),
-        ForestStyle::Lookup(config) => {
-            // Cross-tree decoder sharing: one LUT per feature covering the
-            // thresholds of EVERY member tree.
-            let words = 1usize << forest.bits();
-            let mut groups: HashMap<usize, Vec<(usize, usize, u64)>> = HashMap::new();
-            for (ti, tree) in forest.trees().iter().enumerate() {
-                for (ni, node) in tree.nodes().iter().enumerate() {
-                    if let QNode::Split {
-                        feature, threshold, ..
-                    } = node
-                    {
-                        groups
-                            .entry(*feature)
-                            .or_default()
-                            .push((ti, ni, *threshold));
-                    }
-                }
-            }
-            let mut decision: HashMap<(usize, usize), Signal> = HashMap::new();
-            let mut features: Vec<_> = groups.into_iter().collect();
-            features.sort_by_key(|(f, _)| *f);
-            for (feature, nodes) in features {
-                // A ROM word carries at most 64 columns; very popular
-                // features split across multiple LUTs (each chunk still
-                // shares one decoder).
-                for chunk in nodes.chunks(64) {
-                    let contents: Vec<u64> = (0..words as u64)
-                        .map(|code| {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .fold(0u64, |acc, (j, &(_, _, tau))| {
-                                    acc | (((code > tau) as u64) << j)
-                                })
-                        })
-                        .collect();
-                    let outs = emit_lut(&mut b, &ports[&feature], &contents, chunk.len(), config);
-                    for (j, &(ti, ni, _)) in chunk.iter().enumerate() {
-                        decision.insert((ti, ni), outs[j]);
-                    }
-                }
-            }
-            fn emit_lookup_tree(
-                b: &mut NetlistBuilder,
-                tree: &QuantizedTree,
-                ti: usize,
-                node: usize,
-                decision: &HashMap<(usize, usize), Signal>,
-                class_bits: usize,
-            ) -> Vec<Signal> {
-                match &tree.nodes()[node] {
-                    QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-                    QNode::Split { left, right, .. } => {
-                        let r = decision[&(ti, node)];
-                        let l = emit_lookup_tree(b, tree, ti, *left, decision, class_bits);
-                        let rg = emit_lookup_tree(b, tree, ti, *right, decision, class_bits);
-                        b.mux_word(r, &l, &rg)
-                    }
-                }
-            }
-            forest
-                .trees()
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| emit_lookup_tree(&mut b, t, ti, 0, &decision, class_bits))
-                .collect()
-        }
-    };
+    let classes = tree_classes(&mut b, forest.trees(), &ports, style, class_bits);
     b.pop_region();
 
     // Vote counters: per class, match each tree's output against the
@@ -176,10 +66,7 @@ pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
     let mut counts: Vec<Vec<Signal>> = Vec::with_capacity(forest.n_classes());
     for c in 0..forest.n_classes() {
         let code = b.const_word(c as u64, class_bits);
-        let matches: Vec<Signal> = tree_classes
-            .iter()
-            .map(|tc| equals(&mut b, tc, &code))
-            .collect();
+        let matches: Vec<Signal> = classes.iter().map(|tc| equals(&mut b, tc, &code)).collect();
         let mut count = popcount(&mut b, &matches);
         count.resize(vote_bits.max(count.len()), Signal::ZERO);
         counts.push(count);
@@ -191,16 +78,12 @@ pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
     b.push_region("argmax");
     let mut best_count = counts[0].clone();
     let mut best_class = b.const_word(0, class_bits);
+    // Every count tallies the same trees, so all share one width.
     for (c, count) in counts.iter().enumerate().skip(1) {
-        let wider = count.len().max(best_count.len());
-        let mut a = count.clone();
-        a.resize(wider, Signal::ZERO);
-        let mut bb = best_count.clone();
-        bb.resize(wider, Signal::ZERO);
-        let gt = unsigned_gt(&mut b, &a, &bb);
+        let gt = unsigned_gt(&mut b, count, &best_count);
         let candidate = b.const_word(c as u64, class_bits);
         best_class = b.mux_word(gt, &best_class, &candidate);
-        best_count = b.mux_word(gt, &bb, &a);
+        best_count = b.mux_word(gt, &best_count, count);
     }
     b.pop_region();
 
@@ -208,17 +91,18 @@ pub fn forest_engine(forest: &QuantizedForest, style: ForestStyle) -> Module {
         b.output(format!("votes{c}"), count);
     }
     b.output("class", &best_class);
-    optimize(&b.finish())
+    crate::record_generated(optimize(&b.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::fixtures::{assert_class, forest_inputs as inputs, run_rows};
     use ml::forest::{ForestParams, RandomForest};
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
+    use ml::tree::TreeParams;
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
@@ -238,35 +122,20 @@ mod tests {
     fn forest_engine_matches_software_forest() -> Result<(), SimError> {
         let (qf, fq, test) = setup(Application::Cardio, 4, 8);
         let module = bespoke_forest(&qf);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in test.x.iter().take(80) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.try_set(&format!("f{f}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, qf.predict(&codes));
-        }
-        Ok(())
+        assert_class(&module, &inputs(&qf), &fq, &test, 80, |c| qf.predict(c))
     }
 
     #[test]
     fn vote_counts_are_observable_and_sum_to_tree_count() -> Result<(), SimError> {
         let (qf, fq, test) = setup(Application::Har, 4, 4);
         let module = bespoke_forest(&qf);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in test.x.iter().take(40) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.try_set(&format!("f{f}"), codes[f])?;
-            }
-            sim.settle();
+        run_rows(&module, &inputs(&qf), 0, &fq, &test, 40, |sim, _| {
             let total = (0..qf.n_classes())
                 .map(|c| sim.try_get(&format!("votes{c}")))
                 .sum::<Result<u64, SimError>>()?;
             assert_eq!(total, qf.trees().len() as u64);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     #[test]
@@ -288,21 +157,9 @@ mod tests {
         assert!(module.is_combinational());
         assert_eq!(module.dff_count(), 0);
     }
-}
 
-#[cfg(test)]
-mod lookup_forest_tests {
-    use super::*;
-    use ml::forest::{ForestParams, RandomForest};
-    use ml::quant::FeatureQuantizer;
-    use ml::synth::Application;
-    use ml::tree::TreeParams;
-    use netlist::analyze;
-    use netlist::sim::Simulator;
-    use netlist::SimError;
-    use pdk::{CellLibrary, Technology};
-
-    fn deep_forest(bits: usize) -> (QuantizedForest, FeatureQuantizer, ml::Dataset) {
+    #[test]
+    fn lookup_forest_matches_software_forest() -> Result<(), SimError> {
         let data = Application::Pendigits.generate(7);
         let (train, test) = data.split(0.7, 42);
         let forest = RandomForest::fit(
@@ -313,26 +170,11 @@ mod lookup_forest_tests {
                 seed: 7,
             },
         );
-        let fq = FeatureQuantizer::fit(&train, bits);
-        (QuantizedForest::from_forest(&forest, &fq), fq, test)
-    }
-
-    #[test]
-    fn lookup_forest_matches_software_forest() -> Result<(), SimError> {
-        let (qf, fq, test) = deep_forest(4);
+        let fq = FeatureQuantizer::fit(&train, 4);
+        let qf = QuantizedForest::from_forest(&forest, &fq);
         let module = forest_engine(&qf, ForestStyle::Lookup(LookupConfig::optimized()));
-        let mut sim = Simulator::try_new(&module)?;
-        for row in test.x.iter().take(60) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.try_set(&format!("f{f}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, qf.predict(&codes));
-        }
-        Ok(())
+        assert_class(&module, &inputs(&qf), &fq, &test, 60, |c| qf.predict(c))
     }
-
     #[test]
     fn ensembles_amortize_decoders_better_than_single_trees() {
         // Cross-tree sharing: the lookup forest merges every member tree's

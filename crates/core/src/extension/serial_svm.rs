@@ -17,21 +17,12 @@
 use ml::quant::QuantizedSvm;
 use netlist::arith::{add, multiply};
 use netlist::builder::NetlistBuilder;
-use netlist::comb::unsigned_gt;
 use netlist::ir::{Module, Signal};
 use netlist::optimize;
 use netlist::seq::shift_register;
 use pdk::rom::RomStyle;
 
-use crate::conventional::svm::popcount;
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
+use crate::emit::{ceil_log2, class_map, svm_cmp_width, svm_ports, Ports};
 
 /// Dimensions of a generated serial SVM engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,10 +39,12 @@ pub struct SerialSvmInfo {
 ///
 /// Ports: `x{f}` inputs for live features, outputs `class`, `therm` and
 /// `done`. One inference takes [`SerialSvmInfo::cycles`] clock cycles
-/// after reset; `class` is valid when `done` is high.
+/// after reset; `class` is valid when `done` is high. An SVM without
+/// nonzero terms takes one cycle and maps `P = N = 0` to its class.
 ///
 /// Returns the module together with its timing info.
 pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
+    let _span = obs::span("gen.serial_svm");
     let width = svm.bits();
     // Term schedule: positives first, then negatives.
     let terms: Vec<(usize, u64, bool)> = svm
@@ -61,34 +54,10 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
         .chain(svm.neg_terms().iter().map(|&(f, m)| (f, m, false)))
         .collect();
     let cycles = terms.len().max(1);
-
-    let max_code: u128 = (1u128 << width) - 1;
-    let max_p: u128 = svm
-        .pos_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_n: u128 = svm
-        .neg_terms()
-        .iter()
-        .map(|&(_, m)| m as u128 * max_code)
-        .sum();
-    let max_b: u128 = svm
-        .boundaries()
-        .iter()
-        .map(|&v| v.unsigned_abs() as u128)
-        .max()
-        .unwrap_or(0);
-    let acc_width = (128 - (max_p.max(max_n + max_b).max(1)).leading_zeros() as usize) + 1;
+    let acc_width = svm_cmp_width(svm);
 
     let mut b = NetlistBuilder::new("serial_svm");
-    let mut live: Vec<usize> = terms.iter().map(|&(f, _, _)| f).collect();
-    live.sort_unstable();
-    live.dedup();
-    let ports: std::collections::HashMap<usize, Vec<Signal>> = live
-        .iter()
-        .map(|&f| (f, b.input(format!("x{f}"), width)))
-        .collect();
+    let ports = svm_ports(&mut b, svm);
 
     // Step counter as a one-hot walking shift register (cheap decode, the
     // same trick as the serial tree's node pointer).
@@ -103,6 +72,40 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
     b.set_dff_input(done_q, done);
     b.pop_region();
 
+    let (p_reg, n_reg) = if terms.is_empty() {
+        (vec![Signal::ZERO; acc_width], vec![Signal::ZERO; acc_width])
+    } else {
+        mac(&mut b, &terms, &ports, &step, done, acc_width)
+    };
+
+    // Class mapper (combinational, valid when done).
+    b.push_region("classmap");
+    class_map(&mut b, &p_reg, &n_reg, svm.boundaries());
+    b.pop_region();
+    b.output("done", &[done]);
+    let module = crate::record_generated(optimize(&b.finish()));
+    (
+        module,
+        SerialSvmInfo {
+            cycles,
+            width,
+            acc_width,
+        },
+    )
+}
+
+/// The time-multiplexed MAC over a non-empty term schedule: coefficient
+/// ROM, feature mux, one multiplier and the `P`/`N` accumulator
+/// registers, which it returns.
+fn mac(
+    b: &mut NetlistBuilder,
+    terms: &[(usize, u64, bool)],
+    ports: &Ports,
+    step: &[Signal],
+    done: Signal,
+    acc_width: usize,
+) -> (Vec<Signal>, Vec<Signal>) {
+    let cycles = terms.len();
     // Coefficient ROM: one word per cycle = [magnitude | sign]; addressed
     // by the binary-encoded step (derived from the one-hot register).
     let coef_bits = terms
@@ -113,8 +116,7 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
         .max(1);
     b.push_region("coefficients");
     // Binary step index from one-hot: OR of the one-hot lines per bit.
-    let idx_bits = ceil_log2(cycles.max(2));
-    let idx: Vec<Signal> = (0..idx_bits)
+    let idx: Vec<Signal> = (0..ceil_log2(cycles))
         .map(|bit| {
             let contributors: Vec<Signal> = (0..cycles)
                 .filter(|i| (i >> bit) & 1 == 1)
@@ -144,87 +146,39 @@ pub fn serial_svm(svm: &QuantizedSvm) -> (Module, SerialSvmInfo) {
 
     // The single multiplier.
     b.push_region("mac");
-    let product = multiply(&mut b, &x, coef);
-    let mut product_ext = product;
-    product_ext.resize(acc_width, Signal::ZERO);
+    let mut product = multiply(b, &x, coef);
+    product.resize(acc_width, Signal::ZERO);
 
     // Two accumulators; the sign bit steers which one updates.
     let p_reg: Vec<Signal> = (0..acc_width).map(|_| b.dff(Signal::ZERO, false)).collect();
     let n_reg: Vec<Signal> = (0..acc_width).map(|_| b.dff(Signal::ZERO, false)).collect();
-    let p_sum = add(&mut b, &p_reg, &product_ext);
-    let n_sum = add(&mut b, &n_reg, &product_ext);
+    let p_sum = add(b, &p_reg, &product);
+    let n_sum = add(b, &n_reg, &product);
     // Hold when done; accumulate into the signed side otherwise.
     let not_done = b.not(done);
     let take_p = b.and(is_positive, not_done);
     let negative = b.not(is_positive);
     let take_n = b.and(negative, not_done);
-    for (i, &q) in p_reg.iter().enumerate() {
-        let next = b.mux(take_p, q, p_sum[i]);
-        b.set_dff_input(q, next);
-    }
-    for (i, &q) in n_reg.iter().enumerate() {
-        let next = b.mux(take_n, q, n_sum[i]);
-        b.set_dff_input(q, next);
+    for (regs, sum, take) in [(&p_reg, p_sum, take_p), (&n_reg, n_sum, take_n)] {
+        for (&q, &s) in regs.iter().zip(&sum) {
+            let next = b.mux(take, q, s);
+            b.set_dff_input(q, next);
+        }
     }
     b.pop_region();
-
-    // Class mapper (combinational, valid when done).
-    b.push_region("classmap");
-    let mut therm = Vec::with_capacity(svm.boundaries().len());
-    for &boundary in svm.boundaries() {
-        let t = if boundary >= 0 {
-            let bc = b.const_word(boundary as u64, acc_width);
-            let mut rhs = add(&mut b, &n_reg, &bc);
-            rhs.resize(acc_width + 1, Signal::ZERO);
-            let mut lhs = p_reg.clone();
-            lhs.resize(acc_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        } else {
-            let bc = b.const_word(boundary.unsigned_abs(), acc_width);
-            let mut lhs = add(&mut b, &p_reg, &bc);
-            lhs.resize(acc_width + 1, Signal::ZERO);
-            let mut rhs = n_reg.clone();
-            rhs.resize(acc_width + 1, Signal::ZERO);
-            unsigned_gt(&mut b, &lhs, &rhs)
-        };
-        therm.push(t);
-    }
-    let class = if therm.is_empty() {
-        b.const_word(0, 1)
-    } else {
-        popcount(&mut b, &therm)
-    };
-    b.pop_region();
-
-    b.output("class", &class);
-    let therm_out = if therm.is_empty() {
-        vec![Signal::ZERO]
-    } else {
-        therm
-    };
-    b.output("therm", &therm_out);
-    b.output("done", &[done]);
-    let module = optimize(&b.finish());
-    (
-        module,
-        SerialSvmInfo {
-            cycles,
-            width,
-            acc_width,
-        },
-    )
+    (p_reg, n_reg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bespoke::bespoke_svm;
+    use crate::emit::fixtures::{run_rows, svm_inputs};
     use ml::data::Standardizer;
     use ml::quant::FeatureQuantizer;
     use ml::synth::Application;
     use ml::SvmRegressor;
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use netlist::SimError;
     use pdk::{CellLibrary, Technology};
 
@@ -238,24 +192,48 @@ mod tests {
         (QuantizedSvm::from_svm(&svm, &fq), fq, test)
     }
 
+    /// Runs `qs`'s serial engine to `done` on `rows` rows of `test` and
+    /// checks its class against the software SVM.
+    fn check_serial(
+        qs: &QuantizedSvm,
+        fq: &FeatureQuantizer,
+        test: &ml::Dataset,
+        rows: usize,
+    ) -> Result<SerialSvmInfo, SimError> {
+        let (module, info) = serial_svm(qs);
+        run_rows(
+            &module,
+            &svm_inputs(qs),
+            info.cycles,
+            fq,
+            test,
+            rows,
+            |sim, codes| {
+                assert_eq!(sim.try_get("done")?, 1, "done after {} cycles", info.cycles);
+                assert_eq!(sim.try_get("class")? as usize, qs.predict(codes));
+                Ok(())
+            },
+        )?;
+        Ok(info)
+    }
+
     #[test]
     fn serial_svm_matches_software_svm() -> Result<(), SimError> {
         let (qs, fq, test) = setup(Application::RedWine, 6);
-        let (module, info) = serial_svm(&qs);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in test.x.iter().take(60) {
-            let codes = fq.code_row(row);
-            sim.reset();
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.try_set(&format!("x{f}"), codes[f])?;
-            }
-            for _ in 0..info.cycles {
-                sim.step();
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("done")?, 1, "done after {} cycles", info.cycles);
-            assert_eq!(sim.try_get("class")? as usize, qs.predict(&codes));
-        }
+        check_serial(&qs, &fq, &test, 60)?;
+        Ok(())
+    }
+
+    #[test]
+    fn termless_svm_builds_a_one_cycle_constant_engine() -> Result<(), SimError> {
+        // Zero epochs leave every coefficient at zero: no MAC to
+        // schedule, so the class mapper sees P = N = 0.
+        let data = Application::RedWine.generate(7);
+        let svm = SvmRegressor::fit(&data, 0, 1e-4);
+        let fq = FeatureQuantizer::fit(&data, 8);
+        let qs = QuantizedSvm::from_svm(&svm, &fq);
+        assert!(qs.pos_terms().is_empty() && qs.neg_terms().is_empty());
+        assert_eq!(check_serial(&qs, &fq, &data, 20)?.cycles, 1);
         Ok(())
     }
 
@@ -281,23 +259,23 @@ mod tests {
     fn done_stays_high_and_class_stays_stable_after_completion() -> Result<(), SimError> {
         let (qs, fq, test) = setup(Application::Har, 4);
         let (module, info) = serial_svm(&qs);
-        let mut sim = Simulator::try_new(&module)?;
-        let codes = fq.code_row(&test.x[0]);
-        sim.reset();
-        for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-            sim.try_set(&format!("x{f}"), codes[f])?;
-        }
-        for _ in 0..info.cycles {
-            sim.step();
-        }
-        sim.settle();
-        let class = sim.try_get("class")?;
-        for _ in 0..3 {
-            sim.step();
-            sim.settle();
-            assert_eq!(sim.try_get("done")?, 1, "done must latch");
-            assert_eq!(sim.try_get("class")?, class, "class must hold after done");
-        }
-        Ok(())
+        run_rows(
+            &module,
+            &svm_inputs(&qs),
+            info.cycles,
+            &fq,
+            &test,
+            1,
+            |sim, _| {
+                let class = sim.try_get("class")?;
+                for _ in 0..3 {
+                    sim.step();
+                    sim.settle();
+                    assert_eq!(sim.try_get("done")?, 1, "done must latch");
+                    assert_eq!(sim.try_get("class")?, class, "class must hold after done");
+                }
+                Ok(())
+            },
+        )
     }
 }

@@ -651,21 +651,17 @@ impl ForestFlow {
 #[cfg(test)]
 mod forest_flow_tests {
     use super::*;
+    use crate::emit::fixtures::{assert_class, forest_inputs};
     use crate::ensemble::ForestStyle;
 
     #[test]
     fn forest_flow_produces_verified_engines() -> Result<(), netlist::SimError> {
         let flow = ForestFlow::new(Application::Cardio, 2, 7);
         let module = flow.module(ForestStyle::Bespoke);
-        let mut sim = netlist::Simulator::try_new(&module)?;
-        for row in flow.test.x.iter().take(30) {
-            let codes = flow.fq.code_row(row);
-            for &f in &flow.qf.used_features() {
-                sim.try_set(&format!("f{f}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, flow.qf.predict(&codes));
-        }
+        let inputs = forest_inputs(&flow.qf);
+        assert_class(&module, &inputs, &flow.fq, &flow.test, 30, |c| {
+            flow.qf.predict(c)
+        })?;
         let r = flow.report(ForestStyle::Bespoke, Technology::Egt);
         assert!(r.area.as_mm2() > 0.0);
         Ok(())

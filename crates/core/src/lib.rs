@@ -15,12 +15,27 @@
 //! * [`lookup`] — comparators/multipliers replaced by shared-decoder
 //!   crossbar LUTs, with constant-column elimination and bespoke
 //!   dot-resistor arrays (§V);
+//! * [`ensemble`] — random-forest engines: parallel member trees, vote
+//!   counters and an argmax (§III);
+//! * [`extension`] — the serial SVM, the design-space quadrant the paper
+//!   leaves open;
 //! * [`analog_arch`] — analog trees and crossbar SVMs priced through the
 //!   common interface (§VI);
 //! * [`bitwidth`] — the §IV-A 4/8/12/16-bit datapath search;
 //! * [`flow`] — one-stop train → quantize → generate → price pipelines;
 //! * [`report`] / [`powerfit`] — PPA reports, improvement ratios and the
 //!   Fig. 3 / Fig. 19 power-source feasibility sets.
+//!
+//! The bespoke, lookup, forest and serial generators share two
+//! crate-private emitters, so each datapath exists once. The **tree
+//! emitter** builds parallel trees against shared feature ports, with
+//! per-node comparators or one shared-decoder LUT per feature; it serves
+//! the bespoke and lookup parallel trees and both forest styles. The
+//! **SVM emitter** builds the live-feature ports, the `P`/`N` adder trees
+//! over hardwired or LUT products, and the boundary class mapper; it
+//! serves the bespoke and lookup SVMs, and the serial SVM reuses its
+//! ports, bounds and class mapper. Every generator opens a `gen.*` span
+//! and counts its module into `gen.modules` / `gen.gates`.
 //!
 //! ```
 //! use printed_core::flow::{TreeArch, TreeFlow};
@@ -38,6 +53,7 @@ pub mod analog_arch;
 pub mod bespoke;
 pub mod bitwidth;
 pub mod conventional;
+mod emit;
 pub mod ensemble;
 pub mod estimate;
 pub mod export;

@@ -91,25 +91,21 @@ pub(crate) fn emit_lut(
             }
         })
         .collect();
-    if unique.is_empty() {
-        return columns
-            .iter()
-            .map(|c| match c {
-                Column::Const(v) => Signal::Const(*v),
-                Column::Unique(_) => unreachable!(),
+    // Compact the surviving columns into a narrower ROM (none at all when
+    // every column is constant).
+    let outputs = if unique.is_empty() {
+        Vec::new()
+    } else {
+        let compacted: Vec<u64> = (0..contents.len())
+            .map(|w| {
+                unique
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (j, p)| acc | ((p[w] as u64) << j))
             })
             .collect();
-    }
-    // Compact the surviving columns into a narrower ROM.
-    let compacted: Vec<u64> = (0..contents.len())
-        .map(|w| {
-            unique
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (j, p)| acc | ((p[w] as u64) << j))
-        })
-        .collect();
-    let outputs = b.rom(addr, compacted, unique.len(), style);
+        b.rom(addr, compacted, unique.len(), style)
+    };
     columns
         .iter()
         .map(|c| match c {

@@ -7,22 +7,12 @@
 //! sharing to win; deep trees amortize beautifully — exactly Fig. 9's
 //! pattern.
 
-use std::collections::HashMap;
-
-use ml::quant::{QNode, QuantizedTree};
-use netlist::builder::NetlistBuilder;
-use netlist::ir::{Module, Signal};
+use ml::quant::QuantizedTree;
+use netlist::ir::Module;
 use netlist::optimize;
 
-use super::{emit_lut, LookupConfig};
-
-fn ceil_log2(n: usize) -> usize {
-    if n <= 2 {
-        1
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
+use super::LookupConfig;
+use crate::ensemble::ForestStyle;
 
 /// Generates the lookup-based parallel tree (post-optimization).
 ///
@@ -38,103 +28,18 @@ pub fn lookup_parallel(tree: &QuantizedTree, config: LookupConfig) -> Module {
 /// the `--verify` flow equivalence-checks [`lookup_parallel`]'s rewritten
 /// netlist against.
 pub fn lookup_parallel_raw(tree: &QuantizedTree, config: LookupConfig) -> Module {
-    let mut b = NetlistBuilder::new("lookup_parallel_tree");
-    let used = tree.used_features();
-    let feature_ports: Vec<Vec<Signal>> = used
-        .iter()
-        .enumerate()
-        .map(|(slot, _)| b.input(format!("f{slot}"), tree.bits()))
-        .collect();
-    let class_bits = ceil_log2(tree.n_classes());
-    let words = 1usize << tree.bits();
-
-    // Group split nodes by feature: (node index -> column) per feature.
-    let mut groups: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
-    for (i, node) in tree.nodes().iter().enumerate() {
-        if let QNode::Split {
-            feature, threshold, ..
-        } = node
-        {
-            groups.entry(*feature).or_default().push((i, *threshold));
-        }
-    }
-
-    // One shared-decoder LUT per feature; column j of feature f's table
-    // stores `code > τ_j` for that feature's j-th node.
-    let mut decision: HashMap<usize, Signal> = HashMap::new();
-    let mut features_sorted: Vec<(&usize, &Vec<(usize, u64)>)> = groups.iter().collect();
-    features_sorted.sort_by_key(|(f, _)| **f);
-    for (feature, nodes) in features_sorted {
-        let slot = used
-            .iter()
-            .position(|f| f == feature)
-            .expect("used feature");
-        // ROM words carry at most 64 columns; chunk very popular features
-        // (each chunk still shares one decoder).
-        for chunk in nodes.chunks(64) {
-            let contents: Vec<u64> = (0..words as u64)
-                .map(|code| {
-                    chunk.iter().enumerate().fold(0u64, |acc, (j, &(_, tau))| {
-                        acc | (((code > tau) as u64) << j)
-                    })
-                })
-                .collect();
-            let outs = emit_lut(&mut b, &feature_ports[slot], &contents, chunk.len(), config);
-            for (j, &(node_idx, _)) in chunk.iter().enumerate() {
-                decision.insert(node_idx, outs[j]);
-            }
-        }
-    }
-
-    // Class selection mux tree steered by the LUT outputs.
-    fn emit(
-        b: &mut NetlistBuilder,
-        tree: &QuantizedTree,
-        node: usize,
-        decision: &HashMap<usize, Signal>,
-        class_bits: usize,
-    ) -> Vec<Signal> {
-        match &tree.nodes()[node] {
-            QNode::Leaf { class } => b.const_word(*class as u64, class_bits),
-            QNode::Split { left, right, .. } => {
-                let r = decision[&node];
-                let l = emit(b, tree, *left, decision, class_bits);
-                let rgt = emit(b, tree, *right, decision, class_bits);
-                b.push_region("select");
-                let out = b.mux_word(r, &l, &rgt);
-                b.pop_region();
-                out
-            }
-        }
-    }
-    let class = emit(&mut b, tree, 0, &decision, class_bits);
-    b.output("class", &class);
-    b.finish()
+    crate::emit::tree_engine("lookup_parallel_tree", tree, ForestStyle::Lookup(config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bespoke::parallel_tree::bespoke_parallel;
-    use ml::quant::FeatureQuantizer;
+    use crate::emit::fixtures::{assert_class, tree as setup, tree_inputs};
     use ml::synth::Application;
-    use ml::tree::{DecisionTree, TreeParams};
     use netlist::analyze;
-    use netlist::sim::Simulator;
     use netlist::SimError;
     use pdk::{CellLibrary, Technology};
-
-    fn setup(
-        app: Application,
-        depth: usize,
-        bits: usize,
-    ) -> (QuantizedTree, FeatureQuantizer, ml::Dataset) {
-        let data = app.generate(7);
-        let (train, test) = data.split(0.7, 42);
-        let tree = DecisionTree::fit(&train, TreeParams::with_depth(depth));
-        let fq = FeatureQuantizer::fit(&train, bits);
-        (QuantizedTree::from_tree(&tree, &fq), fq, test)
-    }
 
     fn check_equivalence(
         app: Application,
@@ -144,17 +49,9 @@ mod tests {
     ) -> Result<(), SimError> {
         let (qt, fq, test) = setup(app, depth, bits);
         let module = lookup_parallel(&qt, config);
-        let mut sim = Simulator::try_new(&module)?;
-        let used = qt.used_features();
-        for row in test.x.iter().take(100) {
-            let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.try_set(&format!("f{slot}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(sim.try_get("class")? as usize, qt.predict(&codes));
-        }
-        Ok(())
+        assert_class(&module, &tree_inputs(&qt), &fq, &test, 100, |c| {
+            qt.predict(c)
+        })
     }
 
     #[test]

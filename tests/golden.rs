@@ -105,3 +105,72 @@ fn width_search_choices_are_stable() {
         );
     }
 }
+
+#[test]
+fn raw_generator_structures_are_pinned() {
+    use printed_ml::cache::key_for;
+    use printed_ml::core::bespoke::{bespoke_parallel_raw, bespoke_svm_raw};
+    use printed_ml::core::flow::{SvmFlow, TreeFlow};
+    use printed_ml::core::lookup::{lookup_parallel_raw, lookup_svm_raw, LookupConfig};
+    use printed_ml::core::serial_svm;
+    // The module key hashes every gate (kind, pins, region tag), ROM,
+    // port and region name, so these pin the raw generators gate for
+    // gate, in emission order.
+    let key = |m: &printed_ml::netlist::Module| key_for("golden", m).to_string();
+    let qt = TreeFlow::new(Application::Har, 4, 7).qt;
+    let qs = SvmFlow::new(Application::RedWine, 7).qs;
+    let (base, opt) = (LookupConfig::baseline(), LookupConfig::optimized());
+    let got = [
+        key(&bespoke_parallel_raw(&qt)),
+        key(&lookup_parallel_raw(&qt, base)),
+        key(&lookup_parallel_raw(&qt, opt)),
+        key(&bespoke_svm_raw(&qs)),
+        key(&lookup_svm_raw(&qs, base)),
+        key(&lookup_svm_raw(&qs, opt)),
+        key(&serial_svm(&qs).0),
+    ];
+    let want = [
+        "293ef55dbc8928863e319b77c8c763d9",
+        "fbc20c017856b99df7e3edabfd2fb290",
+        "ecd2eccdfce93aaa6bda181d46daa665",
+        "d4f5009f44b14f9a703b8d0a760694c6",
+        "98df75e419c5219001bac94acb6ab99d",
+        "99b2c15a71e9d2b0e112647889d504d5",
+        "1703a962f98cc8f7ddd640380bb935e7",
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn forest_engines_are_pinned() {
+    use printed_ml::core::flow::ForestFlow;
+    use printed_ml::core::lookup::LookupConfig;
+    use printed_ml::core::ForestStyle;
+    use printed_ml::netlist::analyze;
+    use printed_ml::pdk::{CellLibrary, Technology};
+    // Gate count and the exact bits of area, power and delay; region
+    // tags are not part of the pin.
+    let flow = ForestFlow::new(Application::Cardio, 4, 7);
+    let lib = CellLibrary::for_technology(Technology::Egt);
+    let styles = [
+        ForestStyle::Bespoke,
+        ForestStyle::Lookup(LookupConfig::optimized()),
+    ];
+    let got = styles.map(|style| {
+        let m = flow.module(style);
+        let ppa = analyze(&m, &lib);
+        let bits = [ppa.area.value(), ppa.power.value(), ppa.delay.value()].map(f64::to_bits);
+        format!(
+            "{} {:016x} {:016x} {:016x}",
+            m.gate_count(),
+            bits[0],
+            bits[1],
+            bits[2]
+        )
+    });
+    let want = [
+        "1247 407fbfae147ae1c6 40362a9930be0d9e 3f9841aac53b0812",
+        "426 40797d604189373a 405100d2b2bfdb4e 3f9907d912556d18",
+    ];
+    assert_eq!(got, want);
+}

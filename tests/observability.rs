@@ -157,6 +157,40 @@ fn variation_paths_record_identical_obs_keys() {
     }
 }
 
+#[test]
+fn forest_and_serial_svm_generators_are_counted() {
+    use printed_ml::core::flow::{ForestFlow, SvmFlow};
+    use printed_ml::core::{serial_svm, ForestStyle, LookupConfig};
+
+    let _lock = LOCK.lock().unwrap();
+    let _guard = EnableGuard;
+    obs::set_enabled(true);
+    let forest = ForestFlow::new(Application::Cardio, 2, 7);
+    let svm = SvmFlow::new(Application::RedWine, 7);
+    obs::reset();
+    let gen_modules = || obs::report().counter("gen.modules");
+    for style in [
+        ForestStyle::Bespoke,
+        ForestStyle::Lookup(LookupConfig::optimized()),
+    ] {
+        let before = gen_modules();
+        forest.module(style);
+        assert_eq!(gen_modules(), before + 1, "forest_engine {style:?}");
+    }
+    let before = gen_modules();
+    let gates_before = obs::report().counter("gen.gates");
+    let (module, _) = serial_svm(&svm.qs);
+    assert_eq!(gen_modules(), before + 1, "serial_svm");
+    assert_eq!(
+        obs::report().counter("gen.gates"),
+        gates_before + module.gates.len() as u64
+    );
+    let report = obs::report();
+    for name in ["gen.forest", "gen.serial_svm"] {
+        assert!(report.span(&[name]).is_some(), "missing {name} span");
+    }
+}
+
 /// Asserts `value` is an object with exactly `keys`, returning the
 /// fields for nested checks.
 fn object_keys<'v>(value: &'v Value, keys: &[&str]) -> Vec<&'v Value> {

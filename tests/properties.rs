@@ -22,7 +22,7 @@ use printed_ml::ml::{Dataset, SvmRegressor};
 use printed_ml::netlist::arith::const_multiply;
 use printed_ml::netlist::builder::NetlistBuilder;
 use printed_ml::netlist::ir::Signal;
-use printed_ml::netlist::{optimize, SimError, Simulator};
+use printed_ml::netlist::{optimize, Module, SimError, Simulator};
 use printed_ml::pdk::CellKind;
 
 /// Runs `check` on `cases` deterministic pseudo-random cases; a
@@ -34,6 +34,37 @@ fn cases(root: u64, count: u64, mut check: impl FnMut(u64, &mut StdRng) -> Resul
             panic!("case {i}: {e}");
         }
     }
+}
+
+/// Settles combinational `module` on the first `rows` rows of `data`,
+/// driving each `(port, feature)` input from the row's codes, and asserts
+/// its `class` output equals `predict(codes)`.
+fn assert_class(
+    case: u64,
+    module: &Module,
+    inputs: &[(String, usize)],
+    fq: &FeatureQuantizer,
+    data: &Dataset,
+    rows: usize,
+    predict: impl Fn(&[u64]) -> usize,
+) -> Result<(), SimError> {
+    let mut sim = Simulator::try_new(module)?;
+    for row in data.x.iter().take(rows) {
+        let codes = fq.code_row(row);
+        for (port, f) in inputs {
+            sim.try_set(port, codes[*f])?;
+        }
+        sim.settle();
+        let class = sim.try_get("class")? as usize;
+        assert_eq!(class, predict(&codes), "case {case}");
+    }
+    Ok(())
+}
+
+/// A parallel tree engine's inputs: `(f{slot}, feature)` per used feature.
+fn tree_inputs(qt: &QuantizedTree) -> Vec<(String, usize)> {
+    let used = qt.used_features().into_iter().enumerate();
+    used.map(|(slot, f)| (format!("f{slot}"), f)).collect()
 }
 
 /// Scalar reference responses of output `o` to values on input `x`.
@@ -111,21 +142,9 @@ fn bespoke_parallel_equals_model_on_random_datasets() -> Result<(), SimError> {
         let fq = FeatureQuantizer::fit(&data, bits);
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let module = bespoke_parallel(&qt);
-        let mut sim = Simulator::try_new(&module)?;
-        let used = qt.used_features();
-        for row in data.x.iter().take(30) {
-            let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.try_set(&format!("f{slot}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(
-                sim.try_get("class")? as usize,
-                qt.predict(&codes),
-                "case {case}"
-            );
-        }
-        Ok(())
+        assert_class(case, &module, &tree_inputs(&qt), &fq, &data, 30, |c| {
+            qt.predict(c)
+        })
     });
     Ok(())
 }
@@ -139,21 +158,9 @@ fn lookup_tree_equals_model_on_random_datasets() -> Result<(), SimError> {
         let fq = FeatureQuantizer::fit(&data, 4);
         let qt = QuantizedTree::from_tree(&tree, &fq);
         let module = lookup_parallel(&qt, LookupConfig::optimized());
-        let mut sim = Simulator::try_new(&module)?;
-        let used = qt.used_features();
-        for row in data.x.iter().take(30) {
-            let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                sim.try_set(&format!("f{slot}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(
-                sim.try_get("class")? as usize,
-                qt.predict(&codes),
-                "case {case}"
-            );
-        }
-        Ok(())
+        assert_class(case, &module, &tree_inputs(&qt), &fq, &data, 30, |c| {
+            qt.predict(c)
+        })
     });
     Ok(())
 }
@@ -166,20 +173,9 @@ fn bespoke_svm_equals_model_on_random_datasets() -> Result<(), SimError> {
         let fq = FeatureQuantizer::fit(&data, 6);
         let qs = QuantizedSvm::from_svm(&svm, &fq);
         let module = bespoke_svm(&qs);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in data.x.iter().take(25) {
-            let codes = fq.code_row(row);
-            for &(f, _) in qs.pos_terms().iter().chain(qs.neg_terms()) {
-                sim.try_set(&format!("x{f}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(
-                sim.try_get("class")? as usize,
-                qs.predict(&codes),
-                "case {case}"
-            );
-        }
-        Ok(())
+        let terms = qs.pos_terms().iter().chain(qs.neg_terms());
+        let inputs: Vec<_> = terms.map(|&(f, _)| (format!("x{f}"), f)).collect();
+        assert_class(case, &module, &inputs, &fq, &data, 25, |c| qs.predict(c))
     });
     Ok(())
 }
@@ -525,20 +521,9 @@ fn forest_hardware_matches_model_on_random_datasets() -> Result<(), SimError> {
         let fq = FeatureQuantizer::fit(&data, 5);
         let qf = QuantizedForest::from_forest(&forest, &fq);
         let module = bespoke_forest(&qf);
-        let mut sim = Simulator::try_new(&module)?;
-        for row in data.x.iter().take(20) {
-            let codes = fq.code_row(row);
-            for &f in &qf.used_features() {
-                sim.try_set(&format!("f{f}"), codes[f])?;
-            }
-            sim.settle();
-            assert_eq!(
-                sim.try_get("class")? as usize,
-                qf.predict(&codes),
-                "case {case}"
-            );
-        }
-        Ok(())
+        let used = qf.used_features().into_iter();
+        let inputs: Vec<_> = used.map(|f| (format!("f{f}"), f)).collect();
+        assert_class(case, &module, &inputs, &fq, &data, 20, |c| qf.predict(c))
     });
     Ok(())
 }
@@ -556,16 +541,16 @@ fn serial_tree_matches_parallel_tree_on_random_datasets() -> Result<(), SimError
         let (spec, serial) = bespoke_serial(&qt);
         let mut psim = Simulator::try_new(&parallel)?;
         let mut ssim = Simulator::try_new(&serial)?;
-        let used = qt.used_features();
+        let inputs = tree_inputs(&qt);
         for row in data.x.iter().take(20) {
             let codes = fq.code_row(row);
-            for (slot, &f) in used.iter().enumerate() {
-                psim.try_set(&format!("f{slot}"), codes[f])?;
+            for (port, f) in &inputs {
+                psim.try_set(port, codes[*f])?;
             }
             psim.settle();
             ssim.reset();
-            for (slot, &f) in used.iter().enumerate() {
-                ssim.try_set(&format!("f{slot}"), codes[f])?;
+            for (port, f) in &inputs {
+                ssim.try_set(port, codes[*f])?;
             }
             for _ in 0..spec.depth {
                 ssim.step();
