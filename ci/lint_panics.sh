@@ -7,8 +7,10 @@
 # differential fuzzer can distinguish "engines disagree" from "input
 # rejected". The other files already hold no panic!/unwrap and stay
 # that way: among them the printed-core generators built on the shared
-# tree and SVM emitters (`emit.rs`). The list only grows, toward the
-# whole `netlist` and `analog` crates.
+# tree and SVM emitters (`emit.rs`), the cache key hasher, the ml
+# trainers' crate root and forest, the width search and the end-to-end
+# flows. The list only grows, toward the whole `netlist` and `analog`
+# crates.
 #
 # Test modules are exempt: everything from the first `#[cfg(test)]` line
 # to end-of-file is stripped before grepping, which is why these files
@@ -39,7 +41,11 @@ FILES=(
   crates/analog/src/transient.rs
   crates/analog/src/tree.rs
   crates/analog/src/variation.rs
+  crates/cache/src/hash.rs
+  crates/cache/src/lib.rs
   crates/ml/src/metrics.rs
+  crates/ml/src/forest.rs
+  crates/ml/src/lib.rs
   crates/core/src/emit.rs
   crates/core/src/bespoke/parallel_tree.rs
   crates/core/src/bespoke/svm.rs
@@ -47,6 +53,8 @@ FILES=(
   crates/core/src/lookup/svm.rs
   crates/core/src/ensemble.rs
   crates/core/src/extension/serial_svm.rs
+  crates/core/src/bitwidth.rs
+  crates/core/src/flow.rs
 )
 
 status=0

@@ -7,9 +7,6 @@ use ml::metrics::accuracy;
 use ml::mlp::{Mlp, MlpParams};
 use ml::opcount::CountOps;
 use ml::tree::{DecisionTree, TreeParams};
-use netlist::arith::{add, multiply, relu};
-use netlist::builder::NetlistBuilder;
-use netlist::comb::unsigned_gt;
 use netlist::{analyze, Ppa};
 use pdk::{CellLibrary, Technology};
 use printed_core::conventional::parallel_tree::{generate as gen_parallel, ParallelTreeSpec};
@@ -17,6 +14,7 @@ use printed_core::conventional::serial_tree::{
     generate as gen_serial, SerialTreeProgram, SerialTreeSpec,
 };
 use printed_core::conventional::svm::{generate as gen_svm, SvmSpec};
+use printed_core::ComponentCosts;
 
 use crate::workloads::{apps, depths, SEED};
 use crate::{fmt3, Table};
@@ -41,61 +39,39 @@ fn scaled(t: Technology, ppa: &Ppa, cycles: usize) -> (f64, f64, f64) {
 /// Table I: PPA of an 8-bit comparator, 8-bit MAC and 8-bit ReLU in each
 /// technology.
 pub fn table1() -> Vec<Table> {
-    let comparator = || {
-        let mut b = NetlistBuilder::new("comparator");
-        let a = b.input("a", 8);
-        let bb = b.input("b", 8);
-        let o = unsigned_gt(&mut b, &a, &bb);
-        b.output("o", &[o]);
-        b.finish()
-    };
-    let mac = || {
-        let mut b = NetlistBuilder::new("mac");
-        let a = b.input("a", 8);
-        let bb = b.input("b", 8);
-        let acc = b.input("acc", 16);
-        let p = multiply(&mut b, &a, &bb);
-        let s = add(&mut b, &p, &acc);
-        b.output("o", &s);
-        b.finish()
-    };
-    let relu8 = || {
-        let mut b = NetlistBuilder::new("relu");
-        let x = b.input("x", 8);
-        let y = relu(&mut b, &x);
-        b.output("y", &y);
-        b.finish()
-    };
     let mut t = Table::new(
         "Table I: PPA of common ML operations (measured / paper)",
         &["component", "tech", "delay", "area", "power", "paper D/A/P"],
     );
-    type PaperRow = (&'static str, [(f64, f64, f64); 3]);
-    let paper: [PaperRow; 3] = [
+    // Each component with the paper's (delay, area, power) per technology.
+    type Row = (
+        &'static str,
+        fn(&ComponentCosts) -> &Ppa,
+        [(f64, f64, f64); 3],
+    );
+    let rows: [Row; 3] = [
         (
             "Comparator",
+            |c| &c.comparator,
             [(11.2, 0.15, 0.61), (9.5, 0.21, 8.32), (0.23, 94.0, 0.14)],
         ),
         (
             "MAC",
+            |c| &c.mac,
             [(27.0, 1.12, 4.12), (16.14, 1.4, 57.0), (0.57, 255.0, 0.51)],
         ),
         (
             "ReLU",
+            |c| &c.relu,
             [(2.54, 0.03, 0.14), (1.44, 0.35, 10.0), (0.1, 67.0, 0.46)],
         ),
     ];
-    for (name, modules) in [
-        ("Comparator", comparator()),
-        ("MAC", mac()),
-        ("ReLU", relu8()),
-    ] {
+    let costs = Technology::ALL.map(ComponentCosts::for_technology);
+    for (name, component, paper) in rows {
         for (ti, tech) in Technology::ALL.into_iter().enumerate() {
-            let lib = CellLibrary::for_technology(tech);
-            let ppa = analyze(&modules, &lib);
-            let (d, a, p) = scaled(tech, &ppa, 1);
+            let (d, a, p) = scaled(tech, component(&costs[ti]), 1);
             let (du, au, pu) = tech_units(tech);
-            let reference = paper.iter().find(|r| r.0 == name).unwrap().1[ti];
+            let reference = paper[ti];
             t.row(vec![
                 name.to_string(),
                 tech.to_string(),
@@ -118,7 +94,7 @@ pub fn table1() -> Vec<Table> {
 /// extended with the §III projected EGT implementation cost (op counts x
 /// Table I component costs) that rules the expensive algorithms out.
 pub fn table2() -> Vec<Table> {
-    let costs = printed_core::ComponentCosts::for_technology(Technology::Egt);
+    let costs = ComponentCosts::for_technology(Technology::Egt);
     let mut t = Table::new(
         "Table II: accuracy (A), op counts (#C, #M) and projected EGT cost",
         &["dataset", "model", "A", "#C", "#M", "EGT area", "EGT power"],

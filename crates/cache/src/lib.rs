@@ -17,6 +17,13 @@
 //!   map + on-disk JSON under `bench/out/cache/cache-v1/`, via the
 //!   in-repo serde shims) keyed by those hashes.
 //!
+//! **One entry point.** Every producer memoizes with a single call,
+//! `get_or_compute(domain, &inputs, compute)`, where `inputs` is any
+//! [`Hashable`] (typically a tuple of the producer's arguments). It is
+//! the only code that checks [`enabled`] and the only code that derives
+//! a producer key, as [`key_for`]`(domain, inputs)`; with the cache off
+//! the inputs are never hashed.
+//!
 //! **Determinism contract.** A cache hit returns a value equal to what
 //! the compute closure would have produced: keys cover the complete
 //! input content, and the serde shims round-trip every finite float

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::hash::Key;
+use crate::hash::{key_for, Hashable, Key};
 
 /// Artifact-cache hits served from the in-process memo map.
 static MEM_HITS: obs::Counter = obs::Counter::new("cache.mem_hits");
@@ -108,17 +108,22 @@ fn entry_path(root: &Path, domain: &str, key: Key) -> PathBuf {
         .join(format!("{key}.json"))
 }
 
-/// Looks up `(domain, key)` in both tiers, computing and back-filling on
-/// a miss. `domain` must be a fixed string naming the artifact kind; the
-/// key must be a content hash of everything the computation depends on.
-pub fn get_or_compute<T, F>(domain: &'static str, key: Key, compute: F) -> T
+/// Looks up the artifact keyed by `(domain, inputs)` in both tiers,
+/// computing and back-filling on a miss. `domain` must be a fixed string
+/// naming the artifact kind; `inputs` must cover everything the
+/// computation depends on. This is the only place a producer's key is
+/// derived ([`crate::key_for`]`(domain, inputs)`): with the cache off,
+/// `inputs` is never hashed and `compute` runs directly.
+pub fn get_or_compute<K, T, F>(domain: &'static str, inputs: &K, compute: F) -> T
 where
+    K: Hashable + ?Sized,
     T: serde::Serialize + serde::Deserialize + Clone + Send + Sync + 'static,
     F: FnOnce() -> T,
 {
     if !enabled() {
         return compute();
     }
+    let key = key_for(domain, inputs);
     if let Some(hit) = mem().lock().unwrap().get(&(domain, key)) {
         if let Some(value) = hit.downcast_ref::<T>() {
             MEM_HITS.incr();
@@ -245,7 +250,6 @@ pub fn clear() -> std::io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::key_for;
 
     /// The store config is process-global; serialize the tests touching it.
     static LOCK: Mutex<()> = Mutex::new(());
@@ -265,14 +269,22 @@ mod tests {
         dir
     }
 
+    /// Key inputs that must never be hashed.
+    struct NeverHashed;
+    impl Hashable for NeverHashed {
+        fn stable_hash(&self, _: &mut crate::StableHasher) {
+            panic!("a disabled cache must not derive a key");
+        }
+    }
+
     #[test]
-    fn disabled_cache_always_computes() {
+    fn disabled_cache_always_computes_without_hashing() {
         let _lock = LOCK.lock().unwrap();
         let _restore = Restore;
         set_enabled(false);
         let mut calls = 0;
         for _ in 0..3 {
-            let v: u64 = get_or_compute("test.disabled", key_for("t", &1u64), || {
+            let v: u64 = get_or_compute("test.disabled", &NeverHashed, || {
                 calls += 1;
                 42
             });
@@ -288,10 +300,9 @@ mod tests {
         set_enabled(true);
         set_disk_root(None);
         clear_memory();
-        let key = key_for("t", &"memo");
         let mut calls = 0;
         for _ in 0..3 {
-            let v: String = get_or_compute("test.memo", key, || {
+            let v: String = get_or_compute("test.memo", "memo", || {
                 calls += 1;
                 "value".to_string()
             });
@@ -308,10 +319,9 @@ mod tests {
         set_enabled(true);
         set_disk_root(Some(root.clone()));
         clear_memory();
-        let key = key_for("t", &"disk");
-        let cold: Vec<f64> = get_or_compute("test.disk", key, || vec![0.1, -0.0, 3.5e300]);
+        let cold: Vec<f64> = get_or_compute("test.disk", "disk", || vec![0.1, -0.0, 3.5e300]);
         clear_memory(); // simulate a fresh process
-        let warm: Vec<f64> = get_or_compute("test.disk", key, || panic!("must hit disk"));
+        let warm: Vec<f64> = get_or_compute("test.disk", "disk", || panic!("must hit disk"));
         assert_eq!(cold, warm);
         assert_eq!(warm[1].to_bits(), (-0.0f64).to_bits());
         let stats = disk_stats().expect("stats");
@@ -332,22 +342,21 @@ mod tests {
         set_enabled(true);
         set_disk_root(Some(root.clone()));
         clear_memory();
-        let key = key_for("t", &"corrupt");
-        let path = entry_path(&root, "test.corrupt", key);
+        let path = entry_path(&root, "test.corrupt", key_for("test.corrupt", "corrupt"));
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
 
         // Unparsable JSON: recomputed, entry replaced with a good one.
         std::fs::write(&path, "{not json").unwrap();
-        let v: u64 = get_or_compute("test.corrupt", key, || 7);
+        let v: u64 = get_or_compute("test.corrupt", "corrupt", || 7);
         assert_eq!(v, 7);
         clear_memory();
-        let warm: u64 = get_or_compute("test.corrupt", key, || panic!("must hit disk"));
+        let warm: u64 = get_or_compute("test.corrupt", "corrupt", || panic!("must hit disk"));
         assert_eq!(warm, 7);
 
         // Parsable but wrong shape (stale schema): also recomputed.
         clear_memory();
         std::fs::write(&path, "\"a string, not a number\"").unwrap();
-        let v: u64 = get_or_compute("test.corrupt", key, || 9);
+        let v: u64 = get_or_compute("test.corrupt", "corrupt", || 9);
         assert_eq!(v, 9);
 
         let _ = std::fs::remove_dir_all(&root);

@@ -29,6 +29,45 @@ fn round3(a: f64) -> f64 {
     (a * 1000.0).round() / 1000.0
 }
 
+/// The shared selection rule: quantize the model at every candidate
+/// width with `quantize`, score it on `test` with `predict`, and keep the
+/// narrowest width whose accuracy matches the best one to three
+/// significant digits.
+fn choose_width<Q>(
+    train: &Dataset,
+    test: &Dataset,
+    quantize: impl Fn(&FeatureQuantizer) -> Q,
+    predict: impl Fn(&Q, &[u64]) -> usize,
+) -> (FeatureQuantizer, Q, WidthChoice) {
+    let candidates: Vec<(FeatureQuantizer, Q, f64)> = WIDTHS
+        .iter()
+        .map(|&bits| {
+            let fq = FeatureQuantizer::fit(train, bits);
+            let model = quantize(&fq);
+            let acc = accuracy(
+                test.x.iter().map(|r| predict(&model, &fq.code_row(r))),
+                test.y.iter().copied(),
+            )
+            .expect("predictions align with test labels");
+            (fq, model, acc)
+        })
+        .collect();
+    let best = candidates.iter().map(|c| round3(c.2)).fold(0.0, f64::max);
+    let (fq, model, acc) = candidates
+        .into_iter()
+        .find(|c| round3(c.2) >= best)
+        .expect("at least one candidate");
+    let bits = fq.bits();
+    (
+        fq,
+        model,
+        WidthChoice {
+            bits,
+            accuracy: acc,
+        },
+    )
+}
+
 /// Picks the narrowest width preserving the best accuracy (to three
 /// significant digits) for a trained tree. Returns the quantizer, the
 /// quantized tree and the choice.
@@ -37,32 +76,11 @@ pub fn choose_tree_width(
     train: &Dataset,
     test: &Dataset,
 ) -> (FeatureQuantizer, QuantizedTree, WidthChoice) {
-    let candidates: Vec<(FeatureQuantizer, QuantizedTree, f64)> = WIDTHS
-        .iter()
-        .map(|&bits| {
-            let fq = FeatureQuantizer::fit(train, bits);
-            let qt = QuantizedTree::from_tree(tree, &fq);
-            let acc = accuracy(
-                test.x.iter().map(|r| qt.predict(&fq.code_row(r))),
-                test.y.iter().copied(),
-            )
-            .expect("predictions align with test labels");
-            (fq, qt, acc)
-        })
-        .collect();
-    let best = candidates.iter().map(|c| round3(c.2)).fold(0.0, f64::max);
-    let (fq, qt, acc) = candidates
-        .into_iter()
-        .find(|c| round3(c.2) >= best)
-        .expect("at least one candidate");
-    let bits = fq.bits();
-    (
-        fq,
-        qt,
-        WidthChoice {
-            bits,
-            accuracy: acc,
-        },
+    choose_width(
+        train,
+        test,
+        |fq| QuantizedTree::from_tree(tree, fq),
+        QuantizedTree::predict,
     )
 }
 
@@ -72,32 +90,11 @@ pub fn choose_svm_width(
     train: &Dataset,
     test: &Dataset,
 ) -> (FeatureQuantizer, QuantizedSvm, WidthChoice) {
-    let candidates: Vec<(FeatureQuantizer, QuantizedSvm, f64)> = WIDTHS
-        .iter()
-        .map(|&bits| {
-            let fq = FeatureQuantizer::fit(train, bits);
-            let qs = QuantizedSvm::from_svm(svm, &fq);
-            let acc = accuracy(
-                test.x.iter().map(|r| qs.predict(&fq.code_row(r))),
-                test.y.iter().copied(),
-            )
-            .expect("predictions align with test labels");
-            (fq, qs, acc)
-        })
-        .collect();
-    let best = candidates.iter().map(|c| round3(c.2)).fold(0.0, f64::max);
-    let (fq, qs, acc) = candidates
-        .into_iter()
-        .find(|c| round3(c.2) >= best)
-        .expect("at least one candidate");
-    let bits = fq.bits();
-    (
-        fq,
-        qs,
-        WidthChoice {
-            bits,
-            accuracy: acc,
-        },
+    choose_width(
+        train,
+        test,
+        |fq| QuantizedSvm::from_svm(svm, fq),
+        QuantizedSvm::predict,
     )
 }
 

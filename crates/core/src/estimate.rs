@@ -31,7 +31,7 @@ impl ComponentCosts {
     pub fn for_technology(tech: Technology) -> Self {
         let lib = CellLibrary::for_technology(tech);
         let comparator = {
-            let mut b = NetlistBuilder::new("cmp");
+            let mut b = NetlistBuilder::new("comparator");
             let a = b.input("a", 8);
             let bb = b.input("b", 8);
             let o = unsigned_gt(&mut b, &a, &bb);

@@ -6,8 +6,6 @@
 //! bit-width search, then generate and price any of the paper's
 //! architectures in any technology.
 
-use std::sync::OnceLock;
-
 use analog::tree::AnalogTreeConfig;
 use analog::VariationReport;
 use ml::data::{Dataset, Standardizer};
@@ -60,7 +58,7 @@ pub enum SvmArch {
 }
 
 /// A trained, quantized decision-tree workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TreeFlow {
     /// Source application.
     pub app: Application,
@@ -76,45 +74,23 @@ pub struct TreeFlow {
     pub float_accuracy: f64,
     /// Standardized test split, for functional verification.
     pub test: Dataset,
-    /// Lazily computed 8-bit requantization for the conventional engines
-    /// (see [`TreeFlow::conventional_qt`]).
-    conv_qt: OnceLock<QuantizedTree>,
+    /// The same tree at 8 bits, as loaded into the general-purpose
+    /// conventional engines (fixed at 8-bit).
+    conv_qt: QuantizedTree,
 }
 
 impl TreeFlow {
     /// Trains a depth-`depth` tree on `app` (seeded) and runs the width
     /// search.
     pub fn new(app: Application, depth: usize, seed: u64) -> Self {
-        Self::with_params(app, depth, seed, TreeParams::with_depth(depth))
-    }
-
-    /// Like [`TreeFlow::new`], but first tunes the CART stopping
-    /// parameters with randomized search + k-fold CV (the paper's
-    /// `RandomizedSearchCV` step, scaled down to `iters` candidates).
-    pub fn with_search(app: Application, depth: usize, seed: u64, iters: usize) -> Self {
-        let data = app.generate(seed);
-        let (train, _) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let train = s.transform(&train);
-        let params = ml::search::search_tree_params(&train, depth, iters, 3, seed);
-        Self::with_params(app, depth, seed, params)
-    }
-
-    fn with_params(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
-        if !cache::enabled() {
-            return Self::with_params_impl(app, depth, seed, params);
-        }
-        let mut h = cache::StableHasher::new("core.flow.tree");
-        h.write_str(app.name());
-        h.write_usize(depth);
-        h.write_u64(seed);
-        cache::Hashable::stable_hash(&params, &mut h);
-        cache::get_or_compute("core.flow.tree", h.finish(), || {
-            Self::with_params_impl(app, depth, seed, params)
+        let params = TreeParams::with_depth(depth);
+        let inputs = (app.name(), depth, (seed, params));
+        cache::get_or_compute("core.flow.tree", &inputs, || {
+            Self::new_impl(app, depth, seed, params)
         })
     }
 
-    fn with_params_impl(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
+    fn new_impl(app: Application, depth: usize, seed: u64, params: TreeParams) -> Self {
         let data = app.generate(seed);
         let (train, test) = data.split(0.7, 42);
         let s = Standardizer::fit(&train);
@@ -126,6 +102,11 @@ impl TreeFlow {
         )
         .expect("predictions align with test labels");
         let (fq, qt, choice) = choose_tree_width(&tree, &train, &test);
+        let conv_qt = if fq.bits() == 8 {
+            qt.clone()
+        } else {
+            QuantizedTree::from_tree(&tree, &FeatureQuantizer::fit(&train, 8))
+        };
         TreeFlow {
             app,
             depth,
@@ -134,7 +115,7 @@ impl TreeFlow {
             choice,
             float_accuracy,
             test,
-            conv_qt: OnceLock::new(),
+            conv_qt,
         }
     }
 
@@ -147,7 +128,7 @@ impl TreeFlow {
                 // (its mux is sized for the cross-dataset average of 14
                 // unique features); otherwise price a blank program — a
                 // crossbar ROM costs the same regardless of contents.
-                let qt = self.conventional_qt();
+                let qt = &self.conv_qt;
                 let prog =
                     if qt.used_features().len() <= spec.n_features && qt.depth() <= spec.depth {
                         program(qt, &spec)
@@ -195,30 +176,6 @@ impl TreeFlow {
         analog::variation_sweep(&self.qt, &self.coded_rows(rows), sigmas, trials, seed)
     }
 
-    /// An 8-bit quantization of the same tree, as loaded into the
-    /// general-purpose conventional engines. Memoized: the requantization
-    /// re-trains on the source data, so repeated pricing of the
-    /// conventional engines (once per technology) must not repeat it.
-    fn conventional_qt(&self) -> &QuantizedTree {
-        self.conv_qt.get_or_init(|| {
-            // Conventional engines are fixed at 8-bit; requantize if the
-            // bespoke choice differs.
-            if self.fq.bits() == 8 {
-                self.qt.clone()
-            } else {
-                // Re-derive from the same underlying thresholds: the quantized
-                // tree at 8 bits is produced during width search; rebuild it.
-                let data = self.app.generate(7);
-                let (train, _) = data.split(0.7, 42);
-                let s = Standardizer::fit(&train);
-                let train = s.transform(&train);
-                let tree = DecisionTree::fit(&train, TreeParams::with_depth(self.depth));
-                let fq = FeatureQuantizer::fit(&train, 8);
-                QuantizedTree::from_tree(&tree, &fq)
-            }
-        })
-    }
-
     /// Prices `arch` in `tech`.
     ///
     /// # Panics
@@ -247,56 +204,6 @@ impl TreeFlow {
                 report_from_ppa(name, tech, &analyze(&module, &lib), 1)
             }
         }
-    }
-}
-
-// Manual impls: `OnceLock` has no serde support, so the memo travels as an
-// `Option` and is re-seeded into a fresh cell on the way back in.
-impl Serialize for TreeFlow {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("app".to_string(), self.app.to_value()),
-            ("depth".to_string(), self.depth.to_value()),
-            ("qt".to_string(), self.qt.to_value()),
-            ("fq".to_string(), self.fq.to_value()),
-            ("choice".to_string(), self.choice.to_value()),
-            ("float_accuracy".to_string(), self.float_accuracy.to_value()),
-            ("test".to_string(), self.test.to_value()),
-            (
-                "conv_qt".to_string(),
-                self.conv_qt.get().cloned().to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for TreeFlow {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = match v {
-            serde::Value::Object(fields) => fields,
-            _ => return Err(serde::Error::msg("TreeFlow: expected object")),
-        };
-        let field = |name: &str| -> Result<&serde::Value, serde::Error> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::msg(format!("TreeFlow: missing field `{name}`")))
-        };
-        let conv_qt = OnceLock::new();
-        if let Some(qt) = Option::<QuantizedTree>::from_value(field("conv_qt")?)? {
-            let _ = conv_qt.set(qt);
-        }
-        Ok(TreeFlow {
-            app: Deserialize::from_value(field("app")?)?,
-            depth: Deserialize::from_value(field("depth")?)?,
-            qt: Deserialize::from_value(field("qt")?)?,
-            fq: Deserialize::from_value(field("fq")?)?,
-            choice: Deserialize::from_value(field("choice")?)?,
-            float_accuracy: Deserialize::from_value(field("float_accuracy")?)?,
-            test: Deserialize::from_value(field("test")?)?,
-            conv_qt,
-        })
     }
 }
 
@@ -333,35 +240,13 @@ pub struct SvmFlow {
 impl SvmFlow {
     /// Trains an SVM regressor on `app` (seeded) and runs the width search.
     pub fn new(app: Application, seed: u64) -> Self {
-        Self::with_hyper(app, seed, 200, 1e-4)
-    }
-
-    /// Like [`SvmFlow::new`], but first tunes epochs and regularization
-    /// with randomized search + k-fold CV.
-    pub fn with_search(app: Application, seed: u64, iters: usize) -> Self {
-        let data = app.generate(seed);
-        let (train, _) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let train = s.transform(&train);
-        let (epochs, l2) = ml::search::search_svm_params(&train, iters, 3, seed);
-        Self::with_hyper(app, seed, epochs, l2)
-    }
-
-    fn with_hyper(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
-        if !cache::enabled() {
-            return Self::with_hyper_impl(app, seed, epochs, l2);
-        }
-        let mut h = cache::StableHasher::new("core.flow.svm");
-        h.write_str(app.name());
-        h.write_u64(seed);
-        h.write_usize(epochs);
-        h.write_f64(l2);
-        cache::get_or_compute("core.flow.svm", h.finish(), || {
-            Self::with_hyper_impl(app, seed, epochs, l2)
+        let (epochs, l2): (usize, f64) = (200, 1e-4);
+        cache::get_or_compute("core.flow.svm", &(app.name(), seed, (epochs, l2)), || {
+            Self::new_impl(app, seed, epochs, l2)
         })
     }
 
-    fn with_hyper_impl(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
+    fn new_impl(app: Application, seed: u64, epochs: usize, l2: f64) -> Self {
         let data = app.generate(seed);
         let n_features = data.n_features();
         let (train, test) = data.split(0.7, 42);
@@ -469,9 +354,75 @@ fn svm_tag(arch: SvmArch) -> &'static str {
     }
 }
 
+/// A trained, quantized random-forest workload (§III's tunable
+/// accuracy/cost ensemble).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ForestFlow {
+    /// Source application.
+    pub app: Application,
+    /// Number of member trees.
+    pub n_trees: usize,
+    /// Quantized forest.
+    pub qf: ml::quant::QuantizedForest,
+    /// Feature quantizer.
+    pub fq: FeatureQuantizer,
+    /// Quantized-forest test accuracy.
+    pub accuracy: f64,
+    /// Standardized test split.
+    pub test: Dataset,
+}
+
+impl ForestFlow {
+    /// Trains an RF-`n_trees` ensemble (paper configuration: depth-8
+    /// members) on `app` at 8-bit quantization.
+    pub fn new(app: Application, n_trees: usize, seed: u64) -> Self {
+        cache::get_or_compute("core.flow.forest", &(app.name(), n_trees, seed), || {
+            Self::new_impl(app, n_trees, seed)
+        })
+    }
+
+    fn new_impl(app: Application, n_trees: usize, seed: u64) -> Self {
+        let data = app.generate(seed);
+        let (train, test) = data.split(0.7, 42);
+        let s = Standardizer::fit(&train);
+        let (train, test) = (s.transform(&train), s.transform(&test));
+        let forest =
+            ml::forest::RandomForest::fit(&train, ml::forest::ForestParams::paper(n_trees));
+        let fq = FeatureQuantizer::fit(&train, 8);
+        let qf = ml::quant::QuantizedForest::from_forest(&forest, &fq);
+        let accuracy = ml::metrics::accuracy(
+            test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
+            test.y.iter().copied(),
+        )
+        .expect("predictions align with test labels");
+        ForestFlow {
+            app,
+            n_trees,
+            qf,
+            fq,
+            accuracy,
+            test,
+        }
+    }
+
+    /// Generates the ensemble engine netlist.
+    pub fn module(&self, style: crate::ensemble::ForestStyle) -> Module {
+        crate::ensemble::forest_engine(&self.qf, style)
+    }
+
+    /// Prices the ensemble engine in `tech`.
+    pub fn report(&self, style: crate::ensemble::ForestStyle, tech: Technology) -> DesignReport {
+        let lib = CellLibrary::for_technology(tech);
+        let name = format!("{}-rf{}", self.app.name(), self.n_trees);
+        report_from_ppa(name, tech, &analyze(&self.module(style), &lib), 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::fixtures::{assert_class, forest_inputs};
+    use crate::ensemble::ForestStyle;
 
     #[test]
     fn tree_flow_produces_all_architectures() {
@@ -542,117 +493,6 @@ mod tests {
             Technology::Tsmc40,
         );
     }
-}
-
-#[cfg(test)]
-mod search_tests {
-    use super::*;
-
-    #[test]
-    fn searched_tree_flow_is_at_least_as_accurate() {
-        let plain = TreeFlow::new(Application::RedWine, 4, 7);
-        let searched = TreeFlow::with_search(Application::RedWine, 4, 7, 4);
-        assert!(
-            searched.float_accuracy >= plain.float_accuracy - 0.03,
-            "searched {} vs plain {}",
-            searched.float_accuracy,
-            plain.float_accuracy
-        );
-        assert_eq!(searched.depth, 4);
-    }
-
-    #[test]
-    fn searched_svm_flow_produces_a_working_design() {
-        let flow = SvmFlow::with_search(Application::Har, 7, 2);
-        let r = flow.report(SvmArch::Bespoke, Technology::Egt);
-        assert!(r.area.as_mm2() > 0.0);
-        // SVM regression over HAR's *nominal* activity labels is weak by
-        // nature (the paper's HAR strength comes from its ordinal-ish
-        // real encoding); the search must still beat chance (1/5).
-        assert!(
-            flow.choice.accuracy > 0.2,
-            "accuracy {}",
-            flow.choice.accuracy
-        );
-    }
-}
-
-/// A trained, quantized random-forest workload (§III's tunable
-/// accuracy/cost ensemble).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ForestFlow {
-    /// Source application.
-    pub app: Application,
-    /// Number of member trees.
-    pub n_trees: usize,
-    /// Quantized forest.
-    pub qf: ml::quant::QuantizedForest,
-    /// Feature quantizer.
-    pub fq: FeatureQuantizer,
-    /// Quantized-forest test accuracy.
-    pub accuracy: f64,
-    /// Standardized test split.
-    pub test: Dataset,
-}
-
-impl ForestFlow {
-    /// Trains an RF-`n_trees` ensemble (paper configuration: depth-8
-    /// members) on `app` at 8-bit quantization.
-    pub fn new(app: Application, n_trees: usize, seed: u64) -> Self {
-        if !cache::enabled() {
-            return Self::new_impl(app, n_trees, seed);
-        }
-        let mut h = cache::StableHasher::new("core.flow.forest");
-        h.write_str(app.name());
-        h.write_usize(n_trees);
-        h.write_u64(seed);
-        cache::get_or_compute("core.flow.forest", h.finish(), || {
-            Self::new_impl(app, n_trees, seed)
-        })
-    }
-
-    fn new_impl(app: Application, n_trees: usize, seed: u64) -> Self {
-        let data = app.generate(seed);
-        let (train, test) = data.split(0.7, 42);
-        let s = Standardizer::fit(&train);
-        let (train, test) = (s.transform(&train), s.transform(&test));
-        let forest =
-            ml::forest::RandomForest::fit(&train, ml::forest::ForestParams::paper(n_trees));
-        let fq = FeatureQuantizer::fit(&train, 8);
-        let qf = ml::quant::QuantizedForest::from_forest(&forest, &fq);
-        let accuracy = ml::metrics::accuracy(
-            test.x.iter().map(|r| qf.predict(&fq.code_row(r))),
-            test.y.iter().copied(),
-        )
-        .expect("predictions align with test labels");
-        ForestFlow {
-            app,
-            n_trees,
-            qf,
-            fq,
-            accuracy,
-            test,
-        }
-    }
-
-    /// Generates the ensemble engine netlist.
-    pub fn module(&self, style: crate::ensemble::ForestStyle) -> Module {
-        crate::ensemble::forest_engine(&self.qf, style)
-    }
-
-    /// Prices the ensemble engine in `tech`.
-    pub fn report(&self, style: crate::ensemble::ForestStyle, tech: Technology) -> DesignReport {
-        let lib = CellLibrary::for_technology(tech);
-        let name = format!("{}-rf{}", self.app.name(), self.n_trees);
-        report_from_ppa(name, tech, &analyze(&self.module(style), &lib), 1)
-    }
-}
-
-#[cfg(test)]
-mod forest_flow_tests {
-    use super::*;
-    use crate::emit::fixtures::{assert_class, forest_inputs};
-    use crate::ensemble::ForestStyle;
 
     #[test]
     fn forest_flow_produces_verified_engines() -> Result<(), netlist::SimError> {
@@ -679,6 +519,28 @@ mod forest_flow_tests {
             "{} vs {}",
             f8.accuracy,
             f2.accuracy
+        );
+    }
+
+    #[test]
+    fn conventional_serial_loads_the_flows_own_8_bit_tree() {
+        // HAR DT-4 at seed 11 picks a 4-bit bespoke width, so the
+        // conventional engine needs a separate 8-bit requantization —
+        // of this flow's tree, not of a tree retrained on other data.
+        let (app, depth, seed) = (Application::Har, 4, 11);
+        let flow = TreeFlow::new(app, depth, seed);
+        assert_ne!(flow.fq.bits(), 8);
+        let (train, _) = app.generate(seed).split(0.7, 42);
+        let train = Standardizer::fit(&train).transform(&train);
+        let tree = DecisionTree::fit(&train, TreeParams::with_depth(depth));
+        let qt8 = QuantizedTree::from_tree(&tree, &FeatureQuantizer::fit(&train, 8));
+        let spec = SerialTreeSpec::conventional(depth);
+        assert!(qt8.used_features().len() <= spec.n_features && qt8.depth() <= spec.depth);
+        let module = flow.module(TreeArch::ConventionalSerial);
+        let expected = gen_serial(&spec, &program(&qt8, &spec));
+        assert_eq!(
+            module.map(|m| cache::key_for("t", &m)),
+            Some(cache::key_for("t", &expected))
         );
     }
 }

@@ -81,19 +81,7 @@ impl Dataset {
 
 impl cache::Hashable for Dataset {
     fn stable_hash(&self, h: &mut cache::StableHasher) {
-        h.write_str(&self.name);
-        h.write_usize(self.n_classes);
-        h.write_seq_len(self.x.len());
-        for row in &self.x {
-            h.write_seq_len(row.len());
-            for &v in row {
-                h.write_f64(v);
-            }
-        }
-        h.write_seq_len(self.y.len());
-        for &l in &self.y {
-            h.write_usize(l);
-        }
+        cache::Hashable::stable_hash(&(&self.name, self.n_classes, (&self.x, &self.y)), h);
     }
 }
 

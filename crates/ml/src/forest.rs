@@ -10,7 +10,6 @@ use exec::rng::{SliceRandom, StdRng};
 use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
-use crate::fit_key;
 use crate::tree::{DecisionTree, TreeParams};
 
 /// Random-forest hyper-parameters.
@@ -47,22 +46,8 @@ impl RandomForest {
     /// `sqrt(n_features)`-sized feature subset. Cached by
     /// `(data, params)` when the artifact cache is enabled.
     pub fn fit(data: &Dataset, params: ForestParams) -> Self {
-        if !cache::enabled() {
-            return Self::fit_impl(data, params);
-        }
-        let key = fit_key(
-            "ml.forest.fit",
-            data,
-            &[
-                params.n_trees as u64,
-                params.tree.max_depth as u64,
-                params.tree.min_samples_split as u64,
-                params.tree.max_thresholds as u64,
-                params.seed,
-            ],
-            &[],
-        );
-        cache::get_or_compute("ml.forest.fit", key, || Self::fit_impl(data, params))
+        let inputs = (data, (params.n_trees, params.tree, params.seed));
+        cache::get_or_compute("ml.forest.fit", &inputs, || Self::fit_impl(data, params))
     }
 
     fn fit_impl(data: &Dataset, params: ForestParams) -> Self {

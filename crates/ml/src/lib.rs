@@ -16,8 +16,10 @@
 //! * [`mlp`] — small ReLU perceptrons (MLP-1 / MLP-3 baselines);
 //! * [`quant`] — fixed-point feature/model quantization onto 4–16-bit
 //!   datapaths, in the exact arithmetic the generated hardware uses;
-//! * [`opcount`] — Table II's `#C` / `#M` operation counting;
-//! * [`search`] — randomized hyper-parameter search with k-fold CV.
+//! * [`opcount`] — Table II's `#C` / `#M` operation counting.
+//!
+//! Every trainer's `fit` is memoized through [`cache::get_or_compute`],
+//! keyed by the training set plus the hyper-parameters.
 //!
 //! ```
 //! use ml::synth::Application;
@@ -32,33 +34,12 @@
 //! ```
 
 pub mod data;
-
-/// Keys a model fit on the dataset content plus scalar hyper-parameters —
-/// the shared cache-key shape for every trainer in this crate.
-pub(crate) fn fit_key(
-    domain: &str,
-    data: &data::Dataset,
-    ints: &[u64],
-    floats: &[f64],
-) -> cache::Key {
-    let mut h = cache::StableHasher::new(domain);
-    cache::Hashable::stable_hash(data, &mut h);
-    for &n in ints {
-        h.write_u64(n);
-    }
-    for &x in floats {
-        h.write_f64(x);
-    }
-    h.finish()
-}
-
 pub mod forest;
 pub mod linear;
 pub mod metrics;
 pub mod mlp;
 pub mod opcount;
 pub mod quant;
-pub mod search;
 pub mod synth;
 pub mod tree;
 

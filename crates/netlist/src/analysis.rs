@@ -72,16 +72,22 @@ impl Ppa {
 /// Panics with the [`crate::SimError`] text if `module` fails
 /// [`Module::validate`] or has a combinational cycle.
 pub fn analyze(module: &Module, lib: &CellLibrary) -> Ppa {
-    if !cache::enabled() {
-        return analyze_impl(module, lib);
-    }
     // Keyed by module content + full library parameters. The Ppa payload
     // is a handful of floats, so warm runs skip the critical-path walk
     // over six-figure-gate conventional engines for a tiny disk read.
-    let mut h = cache::StableHasher::new("netlist.ppa");
-    cache::Hashable::stable_hash(module, &mut h);
-    cache::Hashable::stable_hash(&serde::Serialize::to_value(lib), &mut h);
-    cache::get_or_compute("netlist.ppa", h.finish(), || analyze_impl(module, lib))
+    cache::get_or_compute("netlist.ppa", &(module, LibraryKey(lib)), || {
+        analyze_impl(module, lib)
+    })
+}
+
+/// Hashes a [`CellLibrary`] through its serde value, built only when a
+/// key is actually derived.
+struct LibraryKey<'a>(&'a CellLibrary);
+
+impl cache::Hashable for LibraryKey<'_> {
+    fn stable_hash(&self, h: &mut cache::StableHasher) {
+        cache::Hashable::stable_hash(&self.0.to_value(), h);
+    }
 }
 
 fn analyze_impl(module: &Module, lib: &CellLibrary) -> Ppa {

@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use cache::{Hashable, StableHasher};
 use pdk::rom::RomStyle;
 use pdk::CellKind;
 
@@ -248,89 +249,52 @@ impl Module {
     }
 }
 
-impl cache::Hashable for Signal {
-    fn stable_hash(&self, h: &mut cache::StableHasher) {
+// Content hashes. Every impl feeds the same writes, in the same order,
+// that the stored keys were derived from: tuples hash as the
+// concatenation of their elements and slices as a length plus elements.
+
+impl Hashable for NetId {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        h.write_u64(u64::from(self.0));
+    }
+}
+
+impl Hashable for Signal {
+    fn stable_hash(&self, h: &mut StableHasher) {
         match self {
-            Signal::Const(b) => {
-                h.write_u64(0);
-                h.write_bool(*b);
-            }
-            Signal::Net(n) => {
-                h.write_u64(1);
-                h.write_u64(u64::from(n.0));
-            }
+            Signal::Const(b) => (0u64, *b).stable_hash(h),
+            Signal::Net(n) => (1u64, *n).stable_hash(h),
         }
     }
 }
 
-impl cache::Hashable for Gate {
-    fn stable_hash(&self, h: &mut cache::StableHasher) {
-        h.write_u64(self.kind as u64);
-        h.write_seq_len(self.inputs.len());
-        for s in &self.inputs {
-            s.stable_hash(h);
-        }
-        h.write_u64(u64::from(self.output.0));
-        h.write_bool(self.init);
-        h.write_u64(u64::from(self.region));
+impl Hashable for Gate {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        let tail = (self.output, self.init, self.region);
+        (self.kind as u64, &self.inputs, tail).stable_hash(h);
     }
 }
 
-impl cache::Hashable for RomInstance {
-    fn stable_hash(&self, h: &mut cache::StableHasher) {
-        h.write_seq_len(self.addr.len());
-        for s in &self.addr {
-            s.stable_hash(h);
-        }
-        h.write_seq_len(self.data.len());
-        for n in &self.data {
-            h.write_u64(u64::from(n.0));
-        }
-        h.write_seq_len(self.contents.len());
-        for &w in &self.contents {
-            h.write_u64(w);
-        }
-        h.write_u64(self.style as u64);
+impl Hashable for RomInstance {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        let tail = (&self.contents, self.style as u64);
+        (&self.addr, &self.data, tail).stable_hash(h);
     }
 }
 
-impl cache::Hashable for Port {
-    fn stable_hash(&self, h: &mut cache::StableHasher) {
-        h.write_str(&self.name);
-        h.write_seq_len(self.bits.len());
-        for s in &self.bits {
-            s.stable_hash(h);
-        }
+impl Hashable for Port {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        (&self.name, &self.bits).stable_hash(h);
     }
 }
 
 /// Hand-rolled content hash: modules are the largest cached artifacts
 /// (hundreds of thousands of gates), so keying must not detour through a
 /// serde `Value` tree.
-impl cache::Hashable for Module {
-    fn stable_hash(&self, h: &mut cache::StableHasher) {
-        h.write_str(&self.name);
-        h.write_seq_len(self.inputs.len());
-        for p in &self.inputs {
-            p.stable_hash(h);
-        }
-        h.write_seq_len(self.outputs.len());
-        for p in &self.outputs {
-            p.stable_hash(h);
-        }
-        h.write_seq_len(self.gates.len());
-        for g in &self.gates {
-            g.stable_hash(h);
-        }
-        h.write_seq_len(self.roms.len());
-        for r in &self.roms {
-            r.stable_hash(h);
-        }
-        h.write_seq_len(self.regions.len());
-        for r in &self.regions {
-            h.write_str(r);
-        }
-        h.write_u64(u64::from(self.net_count));
+impl Hashable for Module {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        let tail = (&self.roms, &self.regions, self.net_count);
+        (&self.name, &self.inputs, (&self.outputs, &self.gates, tail)).stable_hash(h);
     }
 }
 
